@@ -88,7 +88,7 @@ void BM_ReadBlock(benchmark::State& state) {
   CountMatrix out(347, 24);
   for (auto _ : state) {
     for (BlockId b = 0; b < store->num_blocks(); ++b) {
-      io->ReadBlock(b, &out, nullptr);
+      io->ReadBlock(b, &out);
     }
     benchmark::DoNotOptimize(out);
   }

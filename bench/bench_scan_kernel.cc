@@ -63,25 +63,21 @@ std::vector<uint8_t> RandomColumn(int64_t rows, ValueType type, uint32_t bound,
 
 int violations = 0;
 
-void Compare(const CountMatrix& scalar, const CountMatrix& simd,
-             const std::vector<int64_t>& scalar_t,
-             const std::vector<int64_t>& simd_t) {
+void Compare(const CountMatrix& scalar, const CountMatrix& simd) {
   for (int c = 0; c < scalar.num_candidates(); ++c) {
     if (scalar.RowTotal(c) != simd.RowTotal(c)) ++violations;
     for (int g = 0; g < scalar.num_groups(); ++g) {
       if (scalar.At(c, g) != simd.At(c, g)) ++violations;
     }
   }
-  if (scalar_t != simd_t) ++violations;
 }
 
 /// One timed sweep over `rows` in engine-sized blocks. simd=false runs
 /// the scalar reference through the same dispatch surface.
 template <typename Fn>
 double TimedPass(int64_t rows, int64_t block_rows, CountMatrix* out,
-                 std::vector<int64_t>* tally, const Fn& scan_block) {
+                 const Fn& scan_block) {
   out->Reset();
-  std::fill(tally->begin(), tally->end(), 0);
   const double start = Now();
   for (int64_t base = 0; base < rows; base += block_rows) {
     scan_block(base, std::min(block_rows, rows - base));
@@ -95,13 +91,10 @@ void BenchTyped(const Shape& s, int64_t rows, int64_t block_rows, int runs) {
   const auto x = RandomColumn(rows, s.x_type,
                               static_cast<uint32_t>(s.groups), 2);
   CountMatrix scalar_m(s.cands, s.groups), simd_m(s.cands, s.groups);
-  std::vector<int64_t> scalar_t(static_cast<size_t>(s.cands), 0);
-  std::vector<int64_t> simd_t(static_cast<size_t>(s.cands), 0);
 
   // Typed pairs go through the real 3x3 typed kernels, not the generic
   // path — mirror IoManager::ReadBlockTyped's pointer dispatch.
-  auto run_typed = [&](bool simd, int64_t base, int64_t n, CountMatrix* out,
-                       int64_t* t) {
+  auto run_typed = [&](bool simd, int64_t base, int64_t n, CountMatrix* out) {
     const uint8_t* zp = z.data() + base * ValueWidth(s.z_type);
     const uint8_t* xp = x.data() + base * ValueWidth(s.x_type);
     auto dispatch = [&](auto zv, auto xv) {
@@ -109,12 +102,12 @@ void BenchTyped(const Shape& s, int64_t rows, int64_t block_rows, int runs) {
       using XT = decltype(xv);
       if (simd) {
         if (!ScanBlockSimd(reinterpret_cast<const ZT*>(zp),
-                           reinterpret_cast<const XT*>(xp), n, out, t)) {
+                           reinterpret_cast<const XT*>(xp), n, out)) {
           ++violations;
         }
       } else {
         ScanBlockScalar(reinterpret_cast<const ZT*>(zp),
-                        reinterpret_cast<const XT*>(xp), n, out, t);
+                        reinterpret_cast<const XT*>(xp), n, out);
       }
     };
     switch (s.z_type) {
@@ -146,17 +139,15 @@ void BenchTyped(const Shape& s, int64_t rows, int64_t block_rows, int runs) {
   for (int r = 0; r < runs; ++r) {
     scalar_best = std::min(
         scalar_best,
-        TimedPass(rows, block_rows, &scalar_m, &scalar_t,
-                  [&](int64_t base, int64_t n) {
-                    run_typed(false, base, n, &scalar_m, scalar_t.data());
-                  }));
+        TimedPass(rows, block_rows, &scalar_m, [&](int64_t base, int64_t n) {
+          run_typed(false, base, n, &scalar_m);
+        }));
     simd_best = std::min(
-        simd_best, TimedPass(rows, block_rows, &simd_m, &simd_t,
-                             [&](int64_t base, int64_t n) {
-                               run_typed(true, base, n, &simd_m,
-                                         simd_t.data());
-                             }));
-    Compare(scalar_m, simd_m, scalar_t, simd_t);
+        simd_best,
+        TimedPass(rows, block_rows, &simd_m, [&](int64_t base, int64_t n) {
+          run_typed(true, base, n, &simd_m);
+        }));
+    Compare(scalar_m, simd_m);
   }
   const double scalar_rps = static_cast<double>(rows) / scalar_best;
   const double simd_rps = static_cast<double>(rows) / simd_best;
@@ -176,36 +167,32 @@ void BenchGeneric(int64_t rows, int64_t block_rows, int runs) {
   const auto x1 = RandomColumn(rows, ValueType::kU16,
                                static_cast<uint32_t>(cards[1]), 5);
   CountMatrix scalar_m(cands, groups), simd_m(cands, groups);
-  std::vector<int64_t> scalar_t(static_cast<size_t>(cands), 0);
-  std::vector<int64_t> simd_t(static_cast<size_t>(cands), 0);
 
-  auto run = [&](bool simd, int64_t base, int64_t n, CountMatrix* out,
-                 int64_t* t) {
+  auto run = [&](bool simd, int64_t base, int64_t n, CountMatrix* out) {
     const ScanColumn zc{z.data() + base, ValueType::kU8, cands};
     const ScanColumn xs[2] = {
         {x0.data() + base, ValueType::kU8, cards[0]},
         {x1.data() + base * 2, ValueType::kU16, cards[1]}};
     if (simd) {
-      if (!ScanBlockGenericSimd(zc, xs, 2, n, out, t)) ++violations;
+      if (!ScanBlockGenericSimd(zc, xs, 2, n, out)) ++violations;
     } else {
-      ScanBlockGenericScalar(zc, xs, 2, n, out, t);
+      ScanBlockGenericScalar(zc, xs, 2, n, out);
     }
   };
 
   double scalar_best = 1e30, simd_best = 1e30;
   for (int r = 0; r < runs; ++r) {
     scalar_best = std::min(
-        scalar_best, TimedPass(rows, block_rows, &scalar_m, &scalar_t,
-                               [&](int64_t base, int64_t n) {
-                                 run(false, base, n, &scalar_m,
-                                     scalar_t.data());
-                               }));
+        scalar_best,
+        TimedPass(rows, block_rows, &scalar_m, [&](int64_t base, int64_t n) {
+          run(false, base, n, &scalar_m);
+        }));
     simd_best = std::min(
-        simd_best, TimedPass(rows, block_rows, &simd_m, &simd_t,
-                             [&](int64_t base, int64_t n) {
-                               run(true, base, n, &simd_m, simd_t.data());
-                             }));
-    Compare(scalar_m, simd_m, scalar_t, simd_t);
+        simd_best,
+        TimedPass(rows, block_rows, &simd_m, [&](int64_t base, int64_t n) {
+          run(true, base, n, &simd_m);
+        }));
+    Compare(scalar_m, simd_m);
   }
   const double scalar_rps = static_cast<double>(rows) / scalar_best;
   const double simd_rps = static_cast<double>(rows) / simd_best;

@@ -56,6 +56,12 @@ Enforces the concurrency and status discipline the compiler alone cannot:
                `// lint: pin-ok` escapes with a justification (e.g. a
                deliberately unpinned admission-time estimate).
 
+  thread-home  std::thread / std::jthread appear in src/ only under
+               src/service/ (pipeline drivers, the reaper) and src/util/
+               (the worker pool). Engine parallelism goes through
+               SharedWorkerPool, so no layer below the service tier
+               starts a thread per query.
+
 Zero third-party dependencies; line-based on purpose (a full C++ parse
 buys little for these rules and costs a clang dependency the lint gate
 must not have). Exit 0 when clean, 1 with file:line diagnostics if not.
@@ -111,6 +117,9 @@ LOCK_DECL = re.compile(r"\bMutexLock\s+[A-Za-z_]\w*\s*\(")
 PINNED_SCAN = re.compile(
     r"\b(?P<recv>[A-Za-z_]\w*)\s*(?:\.|->)\s*(num_rows|num_blocks)\s*\(")
 PINNED_SCAN_RECEIVERS = ("store", "partitions", "source")
+
+RAW_THREAD = re.compile(r"std::j?thread\b")
+THREAD_HOMES = ("src/service/", "src/util/")
 
 
 def read(path: Path) -> str:
@@ -226,6 +235,15 @@ def check_file(rel: str, text: str, violations: list):
             depth = max(depth, 0)
             while lock_depths and depth < lock_depths[-1]:
                 lock_depths.pop()
+
+    if rel.startswith("src/") and not rel.startswith(THREAD_HOMES):
+        for k, line in enumerate(lines, 1):
+            if RAW_THREAD.search(line):
+                violations.append(
+                    (rel, k, "thread-home",
+                     "std::thread outside src/service/ and src/util/; run "
+                     "engine work on the caller's thread or through "
+                     "SharedWorkerPool"))
 
     if rel.startswith("src/engine/"):
         for k, line in enumerate(lines, 1):

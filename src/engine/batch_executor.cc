@@ -638,8 +638,7 @@ void BatchExecutor::ReadChunk() {
         const size_t p = static_cast<size_t>(read_part_[i]);
         ts.ios[p]->ReadBlock(
             read_local_[i],
-            &ts.shards[static_cast<size_t>(w) * num_parts + p],
-            /*fresh_counts=*/nullptr);
+            &ts.shards[static_cast<size_t>(w) * num_parts + p]);
       }
     }
   };

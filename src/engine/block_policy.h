@@ -30,7 +30,7 @@ namespace fastmatch {
 /// \brief One window of block demand from a sampling phase: which
 /// candidates still need fresh samples, and whether marking may be
 /// bypassed entirely. This is the unit both the single-query engine's
-/// lookahead marker and the batch executor's shared-scan chunks consume.
+/// block loop and the batch executor's shared-scan chunks consume.
 struct BlockDemand {
   /// Candidates whose fresh-sample targets are unmet (drives AnyActive).
   std::vector<int> unmet;

@@ -7,25 +7,29 @@
 //     without replacement at block granularity);
 //   * a consumed-block bitmap enforces exact without-replacement across
 //     all stages of a run;
-//   * stage-2/3 I/O phases apply a block selection policy:
-//       kScanAll            ScanMatch: read every block in order
-//       kAnyActiveSync      SyncMatch: per-block naive AnyActive (Alg. 2)
-//       kAnyActiveLookahead FastMatch: batch marking on a separate
-//                           lookahead thread (Alg. 3) feeding the I/O
-//                           manager through a bounded queue, so marking
-//                           never blocks I/O (paper Challenge 4).
+//   * stage-2/3 I/O phases run one synchronous block loop on the
+//     caller's thread. The policy only chooses the window the loop
+//     visits at a time and how the window is marked:
+//       kScanAll            ScanMatch: one block, no marking
+//       kAnyActiveSync      SyncMatch: one block, probed candidate by
+//                           candidate (Alg. 2)
+//       kAnyActiveLookahead FastMatch: `lookahead` blocks, marked
+//                           candidate-outer by a word-wise OR (Alg. 3)
+//
+//     The paper runs Algorithm 3's marking on its own thread so that it
+//     never blocks disk I/O (Challenge 4). Here every read is from
+//     memory, and marking a 1024-block window costs a few word ORs per
+//     unmet candidate, so the loop marks and reads in turn.
 //
 // Exhaustion rule: if a full cursor cycle (num_blocks consecutive visited
-// blocks) produces zero new reads while candidate c stays active, then
-// every block containing c is consumed (or queued for reading), so c is
-// fully enumerated once the queue drains; c's cumulative counts are then
-// exact. This is what lets HistSim terminate on candidates whose sample
-// targets exceed their total tuple counts.
+// blocks) produces zero new reads while candidate c stays unmet, then
+// every block containing c is consumed, so c is fully enumerated and its
+// cumulative counts are exact. This is what lets HistSim terminate on
+// candidates whose sample targets exceed their total tuple counts.
 
 #ifndef FASTMATCH_ENGINE_SAMPLING_ENGINE_H_
 #define FASTMATCH_ENGINE_SAMPLING_ENGINE_H_
 
-#include <atomic>
 #include <memory>
 #include <vector>
 
@@ -48,7 +52,7 @@ enum class BlockSelection {
 /// Engine knobs.
 struct EngineOptions {
   BlockSelection policy = BlockSelection::kAnyActiveLookahead;
-  /// Blocks marked per batch by the lookahead thread (paper default 1024).
+  /// FastMatch's window: blocks marked at a time (paper default 1024).
   int lookahead = 1024;
   /// Seed; chooses the random scan start position.
   uint64_t seed = 42;
@@ -59,7 +63,7 @@ struct EngineStats {
   int64_t blocks_read = 0;
   int64_t blocks_skipped = 0;  // visited and skipped by the policy
   int64_t rows_read = 0;
-  int64_t marker_batches = 0;  // lookahead batches produced
+  int64_t marker_batches = 0;  // windows that yielded reads
 };
 
 class SamplingEngine : public Sampler {
@@ -90,8 +94,7 @@ class SamplingEngine : public Sampler {
   const EngineStats& stats() const { return stats_; }
 
  private:
-  SamplingEngine(std::shared_ptr<const ColumnStore> store,
-                 std::shared_ptr<const BitmapIndex> z_index,
+  SamplingEngine(std::shared_ptr<const BitmapIndex> z_index,
                  std::unique_ptr<IoManager> io, EngineOptions options);
 
   /// Advances the wrap-around cursor and returns the block to visit.
@@ -102,17 +105,10 @@ class SamplingEngine : public Sampler {
   }
 
   /// Reads block b into `out`, maintaining consumption state and stats.
-  int64_t ConsumeBlock(BlockId b, CountMatrix* out,
-                       std::atomic<int64_t>* fresh);
+  int64_t ConsumeBlock(BlockId b, CountMatrix* out);
 
   void MarkAllExhausted();
 
-  // Policy-specific SampleUntilTargets bodies.
-  void RunScanAll(const std::vector<int64_t>& targets, CountMatrix* out);
-  void RunSync(const std::vector<int64_t>& targets, CountMatrix* out);
-  void RunLookahead(const std::vector<int64_t>& targets, CountMatrix* out);
-
-  std::shared_ptr<const ColumnStore> store_;
   std::shared_ptr<const BitmapIndex> index_;
   std::unique_ptr<IoManager> io_;
   EngineOptions options_;
@@ -124,9 +120,6 @@ class SamplingEngine : public Sampler {
   int64_t rows_consumed_ = 0;
   std::vector<bool> exhausted_;  // sticky: candidate fully enumerated
   EngineStats stats_;
-
-  // Per-call fresh-sample counters, shared with the lookahead thread.
-  std::unique_ptr<std::atomic<int64_t>[]> fresh_;
 };
 
 }  // namespace fastmatch

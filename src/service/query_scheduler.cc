@@ -125,7 +125,7 @@ Result<QueryHandle> QueryScheduler::Submit(BoundQuery query,
       // is reaped (handles outlive pipelines).
       pend.cancel = std::make_shared<CancelToken>(
           [wp = std::weak_ptr<Pipeline>(pipeline)] {
-            if (std::shared_ptr<Pipeline> p = wp.lock()) p->cv.NotifyAll();
+            if (std::shared_ptr<Pipeline> p = wp.lock()) p->Ring();
           });
       pend.enqueued = Clock::now();
       pend.deadline = submit.deadline_seconds > 0

@@ -491,6 +491,17 @@ class QueryScheduler {
   /// (the janitor holds mu_ while claiming a pipeline) and above the
   /// Stage1Cache/WorkerPool leaf locks.
   struct Pipeline {
+    /// The cancel doorbell. Cancel() sets its flag outside `mu`, so the
+    /// notify first passes through `mu`: a driver that found no cancel
+    /// under the lock is then already waiting on `cv`, and cannot miss
+    /// the wakeup between its check and its wait.
+    void Ring() FASTMATCH_EXCLUDES(mu) {
+      {
+        MutexLock lock(&mu);
+      }
+      cv.NotifyAll();
+    }
+
     Mutex mu;
     CondVar cv;
     std::deque<Pending> pending FASTMATCH_GUARDED_BY(mu);

@@ -1,7 +1,8 @@
 // Parameterized property sweeps of the sampling engine: across policies,
 // lookahead values and block sizes, the engine must (a) meet every
-// requested target or prove exhaustion, (b) never read a row twice, and
-// (c) reproduce the exact histograms on full consumption.
+// requested target or prove exhaustion, (b) never read a row twice,
+// (c) reproduce the exact histograms on full consumption, and (d) give
+// identical results for identical seeds.
 
 #include <gtest/gtest.h>
 
@@ -116,6 +117,36 @@ TEST_P(EngineSweep, MultiPhaseCountsRemainDisjoint) {
   }
 }
 
+TEST_P(EngineSweep, SameSeedRunsAreIdentical) {
+  // Marking and reading share the caller's thread, so a seed fixes the
+  // whole run: every phase's counts, the exhaustion flags and the I/O
+  // counters.
+  auto first = NewEngine(11);
+  auto second = NewEngine(11);
+  CountMatrix a(5, 6), b(5, 6);
+  first->SampleRows(4000, &a);
+  second->SampleRows(4000, &b);
+  for (int64_t t : {800, 2500, 20000}) {
+    std::vector<bool> ea(5, false), eb(5, false);
+    first->SampleUntilTargets({t, t, -1, t, t}, &a, &ea);
+    second->SampleUntilTargets({t, t, -1, t, t}, &b, &eb);
+    EXPECT_EQ(ea, eb) << "target " << t;
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_EQ(a.RowTotal(i), b.RowTotal(i)) << "target " << t;
+      for (int g = 0; g < 6; ++g) {
+        ASSERT_EQ(a.At(i, g), b.At(i, g)) << i << "," << g;
+      }
+    }
+  }
+  const EngineStats& sa = first->stats();
+  const EngineStats& sb = second->stats();
+  EXPECT_EQ(sa.blocks_read, sb.blocks_read);
+  EXPECT_EQ(sa.blocks_skipped, sb.blocks_skipped);
+  EXPECT_EQ(sa.rows_read, sb.rows_read);
+  EXPECT_EQ(sa.marker_batches, sb.marker_batches);
+  EXPECT_EQ(first->rows_consumed(), second->rows_consumed());
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Grid, EngineSweep,
     ::testing::Values(
@@ -124,6 +155,7 @@ INSTANTIATE_TEST_SUITE_P(
         EngineCase{BlockSelection::kAnyActiveSync, 1, 50},
         EngineCase{BlockSelection::kAnyActiveSync, 1, 300},
         EngineCase{BlockSelection::kAnyActiveLookahead, 1, 50},
+        EngineCase{BlockSelection::kAnyActiveLookahead, 8, 50},
         EngineCase{BlockSelection::kAnyActiveLookahead, 16, 50},
         EngineCase{BlockSelection::kAnyActiveLookahead, 1024, 50},
         EngineCase{BlockSelection::kAnyActiveLookahead, 16, 7},
@@ -136,10 +168,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ------------------------------------------------ concurrency stress
 
-// The lookahead mode races a marker thread against the I/O thread with an
-// early-stop handoff; run it repeatedly to shake out interleavings (this
-// caught a real bug: exhaustion conclusions derived from discarded
-// marks).
+// FastMatch across many seeds and window sizes, with a target the
+// smallest candidate cannot meet: every exhaustion claim must be true
+// (the candidate fully enumerated), every other target met, and no row
+// read twice.
 TEST(LookaheadStress, RepeatedRunsKeepPostconditions) {
   std::vector<int64_t> counts = {2000, 8000, 12000, 20000};
   auto dists = PlantedDistributions(4, 6, {0.0, 0.07, 0.14, 0.21});
