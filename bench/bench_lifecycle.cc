@@ -3,31 +3,24 @@
 //
 // Part 1 — time-to-first-result. Submits bursts of B queries with
 // distinct per-user targets (so batchmates finish at different times);
-// each burst fills exactly one shared-scan batch. Per batch, the time
-// from submission until the FIRST future becomes ready is measured
-// under two QueryScheduler configurations:
-//
-//   retire  eager_delivery = false — every future of a batch is
-//           fulfilled when the batch retires (PR 3 behaviour): the
-//           first result arrives when the LAST machine finishes;
-//   eager   eager_delivery = true  — a future is fulfilled the moment
-//           its machine completes mid-scan (this PR's tentpole): the
-//           first result arrives when the FASTEST machine finishes.
+// each burst fills exactly one shared-scan batch. The scheduler fulfils
+// a future the moment its machine completes mid-scan (eager delivery),
+// so per batch the FIRST result arrives when the FASTEST machine
+// finishes. Retire-time delivery — every future of a batch fulfilled
+// when the batch retires — is derived from the same run: its first
+// result would arrive when the LAST machine finishes.
 //
 // Delivery instants are taken from the scheduler's own per-item
 // stamps (SchedulerItem::total_seconds — the moment the promise is
-// fulfilled under eager delivery), not from an external waiter clock:
-// on a single-core host a waiter thread is not scheduled while the
-// scan runs, so any wall-clock probe observes "first ready ~= batch
-// end" regardless of when fulfillment happened. Per batch, eager
-// time-to-first-result = min(total_seconds) and retire-time delivery
-// of the SAME execution = max(total_seconds) (every future of a batch
-// resolves once its last machine finishes — the wall-clock span of the
-// real retire-mode run, also reported, validates this). The gap is
-// structural — any batch whose members vary in duration has
-// fastest-machine < batch-retire — so eager p50 must be strictly below
-// retire p50 on every host; the magnitude (not the sign) is what
-// varies with hardware.
+// fulfilled), not from an external waiter clock: on a single-core host
+// a waiter thread is not scheduled while the scan runs, so any
+// wall-clock probe observes "first ready ~= batch end" regardless of
+// when fulfillment happened. Per batch, eager time-to-first-result =
+// min(total_seconds) and retire-time delivery of the SAME execution =
+// max(total_seconds). The gap is structural — any batch whose members
+// vary in duration has fastest-machine < batch-retire — so eager p50
+// must be strictly below retire p50 on every host; the magnitude (not
+// the sign) is what varies with hardware.
 //
 // Part 2 — thread boundedness. 32 short-lived stores churn through the
 // scheduler (batches on the process SharedWorkerPool under quota,
@@ -190,32 +183,24 @@ int main() {
   base.max_batch_queries = kBurst;  // a burst == one batch
   base.max_queue_wait_seconds = 5.0;
 
-  // One eager run carries both policies' delivery instants: eager
+  // One run carries both policies' delivery instants: eager delivery
   // fulfills each future at its machine's completion (min per batch =
   // time-to-first-result), retire-time delivery of the identical
-  // execution fulfills everything once the last machine finishes (max
-  // per batch). A real retire-mode run is measured too: its wall span
-  // validates the derived retire numbers and its eager counter stays 0.
-  SchedulerOptions eager_options = base;
-  eager_options.eager_delivery = true;
-  BurstResult eager_run = RunBursts(bursts, eager_options);
-  SchedulerOptions retire_options = base;
-  retire_options.eager_delivery = false;
-  BurstResult retire_run = RunBursts(bursts, retire_options);
-  FASTMATCH_CHECK(retire_run.eager_delivered == 0);
+  // execution would fulfill everything once the last machine finishes
+  // (max per batch).
+  BurstResult eager_run = RunBursts(bursts, base);
 
   const double eager_p50 = Percentile(eager_run.first_delivery, 0.50);
   const double eager_p99 = Percentile(eager_run.first_delivery, 0.99);
   const double retire_p50 = Percentile(eager_run.last_delivery, 0.50);
   const double retire_p99 = Percentile(eager_run.last_delivery, 0.99);
-  std::printf("%10s %12s %12s %14s %8s %8s\n", "mode", "p50 TTFR (s)",
-              "p99 TTFR (s)", "batch span (s)", "eager", "batches");
-  std::printf("%10s %12.4f %12.4f %14.4f %8lld %8lld\n", "retire",
-              retire_p50, retire_p99, Mean(retire_run.wall_span),
-              static_cast<long long>(retire_run.eager_delivered),
-              static_cast<long long>(retire_run.batches));
-  std::printf("%10s %12.4f %12.4f %14.4f %8lld %8lld\n", "eager", eager_p50,
-              eager_p99, Mean(eager_run.wall_span),
+  std::printf("%10s %12s %12s\n", "mode", "p50 TTFR (s)", "p99 TTFR (s)");
+  std::printf("%10s %12.4f %12.4f\n", "retire", retire_p50, retire_p99);
+  std::printf("%10s %12.4f %12.4f\n", "eager", eager_p50, eager_p99);
+  std::printf("(retire = max total_seconds per batch of the same run)\n");
+  std::printf("batch span %.4f s, %lld futures delivered eagerly, %lld "
+              "batches\n",
+              Mean(eager_run.wall_span),
               static_cast<long long>(eager_run.eager_delivered),
               static_cast<long long>(eager_run.batches));
   std::fflush(stdout);

@@ -27,7 +27,6 @@
 #include "bench_common.h"
 #include "core/verify.h"
 #include "engine/batch_executor.h"
-#include "engine/sharded_batch_executor.h"
 #include "storage/partitioned_store.h"
 #include "util/timer.h"
 #include "workload/traffic.h"
@@ -99,21 +98,15 @@ int main() {
       bopt.seed = 1000 + static_cast<uint64_t>(run);
 
       std::vector<BoundQuery> queries = *batch;
-      std::unique_ptr<BatchExecutor> executor;
-      if (num_partitions == 0) {
-        auto plain = BatchExecutor::Create(queries, bopt);
-        FASTMATCH_CHECK(plain.ok()) << plain.status().ToString();
-        executor = std::move(*plain);
-      } else {
+      if (num_partitions > 0) {
         auto partitions =
             PartitionedStore::Split(prepared.bound.store, num_partitions);
         FASTMATCH_CHECK(partitions.ok()) << partitions.status().ToString();
         for (BoundQuery& q : queries) q.partitions = *partitions;
-        auto sharded =
-            ShardedBatchExecutor::Create(queries, *partitions, bopt);
-        FASTMATCH_CHECK(sharded.ok()) << sharded.status().ToString();
-        executor = std::move(*sharded);
       }
+      auto created = BatchExecutor::Create(queries, bopt);
+      FASTMATCH_CHECK(created.ok()) << created.status().ToString();
+      std::unique_ptr<BatchExecutor> executor = std::move(*created);
 
       WallTimer timer;
       std::vector<BatchItem> items = executor->Run();

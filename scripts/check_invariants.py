@@ -62,6 +62,12 @@ Enforces the concurrency and status discipline the compiler alone cannot:
                SharedWorkerPool, so no layer below the service tier
                starts a thread per query.
 
+  pool-home    WorkerPool / SharedWorkerPool are constructed in src/ only
+               under src/util/ (SharedWorkerPool::Process() and the pool
+               classes themselves). Every batch reads on a pool handed to
+               it or on the process pool, so no layer starts a private
+               pool per batch and the process thread count stays bounded.
+
 Zero third-party dependencies; line-based on purpose (a full C++ parse
 buys little for these rules and costs a clang dependency the lint gate
 must not have). Exit 0 when clean, 1 with file:line diagnostics if not.
@@ -120,6 +126,16 @@ PINNED_SCAN_RECEIVERS = ("store", "partitions", "source")
 
 RAW_THREAD = re.compile(r"std::j?thread\b")
 THREAD_HOMES = ("src/service/", "src/util/")
+
+# A pool construction: make_unique/make_shared/new of a pool type, or a
+# by-value pool object (`WorkerPool pool(4);`, `SharedWorkerPool p{2};`,
+# a `WorkerPool pool_;` member). Pointers and references don't match.
+POOL_TYPE = r"(?:Shared)?WorkerPool"
+POOL_CONSTRUCT = re.compile(
+    r"\bmake_(?:unique|shared)\s*<\s*" + POOL_TYPE + r"\s*>"
+    r"|\bnew\s+" + POOL_TYPE + r"\b"
+    r"|\b" + POOL_TYPE + r"\s+[A-Za-z_]\w*\s*[({;]")
+POOL_HOME = "src/util/"
 
 
 def read(path: Path) -> str:
@@ -244,6 +260,14 @@ def check_file(rel: str, text: str, violations: list):
                      "std::thread outside src/service/ and src/util/; run "
                      "engine work on the caller's thread or through "
                      "SharedWorkerPool"))
+
+    if rel.startswith("src/") and not rel.startswith(POOL_HOME):
+        for k, line in enumerate(lines, 1):
+            if POOL_CONSTRUCT.search(line):
+                violations.append(
+                    (rel, k, "pool-home",
+                     "worker pool constructed outside src/util/; run on "
+                     "BatchOptions::shared_pool or SharedWorkerPool::Process()"))
 
     if rel.startswith("src/engine/"):
         for k, line in enumerate(lines, 1):

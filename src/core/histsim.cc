@@ -102,7 +102,6 @@ Status HistSimMachine::Begin(int num_candidates, int num_groups,
   demand_.rows = params_.stage1_samples;
   demand_.targets.clear();
   phase_ = Phase::kStage1;
-  stage_timer_.Restart();
 
   if (prior != nullptr) {
     // Warm start: the stage-1 demand just issued is satisfied from the
@@ -229,8 +228,6 @@ Status HistSimMachine::FinishStage1(const CountMatrix& fresh,
     RefreshTau(i);
   }
   diag_.pruned_candidates = vz_ - static_cast<int>(active_set_.size());
-  diag_.stage1_seconds = stage_timer_.Seconds();
-  stage_timer_.Restart();
 
   if (active_set_.empty()) {
     return Status::FailedPrecondition(
@@ -398,8 +395,6 @@ Status HistSimMachine::BeginStage3() {
                                          static_cast<size_t>(k_eff_)));
   }
   diag_.rounds = round_t_;
-  diag_.stage2_seconds = stage_timer_.Seconds();
-  stage_timer_.Restart();
 
   const int64_t needed = Stage3Samples(params_.ReconstructionEps(), vx_,
                                        k_eff_, params_.delta);
@@ -446,8 +441,6 @@ double HistSimMachine::ErrorBarFor(bool is_exact, int64_t n) const {
 }
 
 Status HistSimMachine::Finalize() {
-  diag_.stage3_seconds = stage_timer_.Seconds();
-
   // Re-estimate every candidate from the final pooled counts: stages 2/3
   // over-deliver rows to non-matching candidates at block granularity,
   // and the reported per-candidate error bars assume the distance
@@ -482,6 +475,19 @@ MatchResult HistSimMachine::TakeResult() {
   FASTMATCH_CHECK(phase_ == Phase::kDone)
       << "HistSimMachine::TakeResult before completion";
   return std::move(result_);
+}
+
+ProgressUpdate FinalProgressUpdate(const MatchResult& match) {
+  ProgressUpdate up;
+  up.topk = match.topk;
+  up.topk_distances = match.topk_distances;
+  up.distances = match.distances;
+  up.error_bars = match.error_bars;
+  up.exact = match.exact;
+  up.rows_consumed = match.diag.stage1_samples + match.diag.stage2_samples +
+                     match.diag.stage3_samples;
+  up.final_update = true;
+  return up;
 }
 
 ProgressUpdate HistSimMachine::Progress(const CountMatrix* partial,
@@ -566,11 +572,9 @@ Status HistSimMachine::HarvestBestEffort(const CountMatrix& fresh,
   switch (phase_) {
     case Phase::kStage1:
       diag_.stage1_samples = rows_drawn;
-      diag_.stage1_seconds = stage_timer_.Seconds();
       break;
     case Phase::kStage2:
       diag_.stage2_samples += rows_drawn;
-      diag_.stage2_seconds = stage_timer_.Seconds();
       break;
     default:
       diag_.stage3_samples = rows_drawn;

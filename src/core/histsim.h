@@ -32,7 +32,6 @@
 #include "core/params.h"
 #include "core/sampler.h"
 #include "util/result.h"
-#include "util/timer.h"
 
 namespace fastmatch {
 
@@ -50,14 +49,6 @@ struct HistSimDiagnostics {
   int exact_candidates = 0;     ///< fully enumerated (exhausted) candidates
   bool data_exhausted = false;  ///< the whole relation was consumed
   int chosen_k = 0;             ///< k actually returned (k-range extension)
-  // Wall time between the stage's phase boundaries (demand issue to final
-  // Supply). Under the single-query driver this is the stage's cost;
-  // under the batch executor it includes the shared scan's work for
-  // co-scheduled queries, so per-query stage times must not be summed
-  // across a batch (use BatchItem::wall_seconds / BatchStats instead).
-  double stage1_seconds = 0;
-  double stage2_seconds = 0;
-  double stage3_seconds = 0;
 };
 
 /// \brief Output of a run: the estimated top-k plus all estimate state.
@@ -91,8 +82,8 @@ struct MatchResult {
 };
 
 /// \brief A point-in-time snapshot of a running query's answer,
-/// surfaced at chunk boundaries by the batch executor (the anytime /
-/// progressive-results channel).
+/// pulled at chunk boundaries from the batch executor
+/// (BatchExecutor::Progress; the anytime / progressive-results channel).
 ///
 /// Soundness: every sample behind the snapshot is a scan prefix of the
 /// pre-shuffled store (plus any warm prior, itself such a prefix), so
@@ -124,6 +115,12 @@ struct ProgressUpdate {
   /// bit for bit.
   bool final_update = false;
 };
+
+/// \brief The final update of a progress stream, built from the
+/// delivered result so the streamed view and the answer agree bit for
+/// bit: final_update set, rows_consumed the result's drawn rows.
+/// `sequence` and `blocks_read` are the caller's to stamp.
+ProgressUpdate FinalProgressUpdate(const MatchResult& match);
 
 /// \brief What the algorithm needs next from the data layer.
 ///
@@ -291,7 +288,6 @@ class HistSimMachine {
   SampleDemand demand_;
   MatchResult result_;
   HistSimDiagnostics diag_;
-  WallTimer stage_timer_;
 
   int vz_ = 0;
   int vx_ = 0;

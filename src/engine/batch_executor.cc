@@ -15,24 +15,10 @@ BatchExecutor::BatchExecutor(std::shared_ptr<const ColumnStore> store,
       options_(std::move(options)),
       pin_(pin),
       num_blocks_(pin_.num_blocks),
-      consumed_(num_blocks_) {
-  // Degenerate partition list and segment table: the whole store at
-  // offset 0. The sharded factory overwrites both before any query is
-  // bound.
-  Partition whole;
-  whole.store = store_;
-  whole.pin = pin_;
-  parts_.push_back(std::move(whole));
-  ScanSegment all;
-  all.logical_begin = 0;
-  all.part = 0;
-  all.local_begin = 0;
-  all.blocks = num_blocks_;
-  segments_.push_back(all);
-}
+      consumed_(num_blocks_) {}
 
-Status BatchExecutor::ValidateBatch(const std::vector<BoundQuery>& queries,
-                                    const BatchOptions& options) {
+Result<std::unique_ptr<BatchExecutor>> BatchExecutor::Create(
+    const std::vector<BoundQuery>& queries, BatchOptions options) {
   if (queries.empty()) {
     return Status::InvalidArgument("batch has no queries");
   }
@@ -43,6 +29,8 @@ Status BatchExecutor::ValidateBatch(const std::vector<BoundQuery>& queries,
     return Status::InvalidArgument("chunk_blocks must be >= 1");
   }
   const std::shared_ptr<const ColumnStore>& store = queries.front().store;
+  const std::shared_ptr<const PartitionedStore>& partitions =
+      queries.front().partitions;
   if (store == nullptr) {
     return Status::InvalidArgument("query has no store");
   }
@@ -51,12 +39,48 @@ Status BatchExecutor::ValidateBatch(const std::vector<BoundQuery>& queries,
       return Status::InvalidArgument(
           "batch queries must share one ColumnStore");
     }
+    if ((q.partitions == nullptr) != (partitions == nullptr) ||
+        (partitions != nullptr && q.partitions->id() != partitions->id())) {
+      return Status::InvalidArgument(
+          "batch queries must share one partition set (or all carry none)");
+    }
   }
-  return Status::OK();
-}
+  if (partitions != nullptr && partitions->source().get() != store.get()) {
+    return Status::InvalidArgument(
+        "queries must run over the partition set's source store");
+  }
+  if (options.shared_pool == nullptr) {
+    options.shared_pool = &SharedWorkerPool::Process();
+  }
 
-Status BatchExecutor::CheckResumeGeometry(const BatchOptions& options,
-                                          const StorePin& pin) {
+  // Resolve the batch's pin BEFORE construction: a versioned resume
+  // re-pins the donor's generation (the resumed scan runs in the
+  // donor's block space even if the store has since grown); otherwise
+  // pin the current generation. A partition set's pin carries a
+  // consistent (logical geometry, per-partition pins, segment table)
+  // snapshot; the whole scan runs against it.
+  const uint64_t resume_generation =
+      options.resume.has_value() ? options.resume->generation : 0;
+  StorePin pin;
+  PartitionedPin set_pin;
+  if (partitions == nullptr) {
+    if (resume_generation != 0) {
+      FASTMATCH_ASSIGN_OR_RETURN(pin, store->PinAt(resume_generation));
+    } else {
+      pin = store->Pin();
+    }
+  } else {
+    if (resume_generation != 0) {
+      FASTMATCH_ASSIGN_OR_RETURN(set_pin, partitions->PinAt(resume_generation));
+    } else {
+      set_pin = partitions->Pin();
+    }
+    pin.store_id = set_pin.id;
+    pin.generation = set_pin.generation;
+    pin.num_rows = set_pin.num_rows;
+    pin.num_blocks = set_pin.num_blocks;
+    pin.rows_per_block = set_pin.rows_per_block;
+  }
   if (pin.num_rows == 0) {
     return Status::FailedPrecondition("empty store");
   }
@@ -70,15 +94,37 @@ Status BatchExecutor::CheckResumeGeometry(const BatchOptions& options,
       return Status::InvalidArgument("resume cursor out of range");
     }
   }
-  return Status::OK();
-}
 
-Status BatchExecutor::Initialize(BatchExecutor* executor,
-                                 const std::vector<BoundQuery>& queries) {
-  if (executor->options_.resume.has_value()) {
-    executor->consumed_ = executor->options_.resume->consumed;
-    executor->consumed_blocks_ = executor->consumed_.Popcount();
-    if (executor->consumed_blocks_ == executor->num_blocks_) {
+  auto executor = std::unique_ptr<BatchExecutor>(
+      new BatchExecutor(store, pin, std::move(options)));
+  BatchExecutor& ex = *executor;
+  if (partitions == nullptr) {
+    // Degenerate partition list and segment table: the whole store at
+    // offset 0.
+    Partition whole;
+    whole.store = store;
+    whole.pin = pin;
+    ex.parts_.push_back(std::move(whole));
+    ScanSegment all;
+    all.logical_begin = 0;
+    all.part = 0;
+    all.local_begin = 0;
+    all.blocks = pin.num_blocks;
+    ex.segments_.push_back(all);
+  } else {
+    ex.partitions_ = partitions;
+    for (int p = 0; p < partitions->num_partitions(); ++p) {
+      Partition part;
+      part.store = partitions->partition(p);
+      part.pin = set_pin.parts[static_cast<size_t>(p)];
+      ex.parts_.push_back(std::move(part));
+    }
+    ex.segments_ = std::move(set_pin.segments);
+  }
+  if (ex.options_.resume.has_value()) {
+    ex.consumed_ = ex.options_.resume->consumed;
+    ex.consumed_blocks_ = ex.consumed_.Popcount();
+    if (ex.consumed_blocks_ == ex.num_blocks_) {
       // Same condition Join() rejects: with no suffix left the machines
       // would "finish" instantly on zero samples and report fabricated
       // exact results.
@@ -86,54 +132,39 @@ Status BatchExecutor::Initialize(BatchExecutor* executor,
           "resume state has no unconsumed blocks; nothing to scan");
     }
   }
-  for (const BoundQuery& q : queries) executor->AddQuery(q);
-  if (executor->options_.resume.has_value() &&
-      !executor->options_.resume->exhausted.empty()) {
+  for (const BoundQuery& q : queries) ex.AddQuery(q);
+  if (ex.options_.resume.has_value() &&
+      !ex.options_.resume->exhausted.empty()) {
     // Donor-scan exhaustion knowledge is per candidate of one template;
     // a multi-template resume has no well-defined recipient.
-    if (executor->templates_.size() != 1) {
+    if (ex.templates_.size() != 1) {
       return Status::InvalidArgument(
           "resume exhausted flags require a single-template batch");
     }
-    TemplateState& ts = executor->templates_.front();
-    if (executor->options_.resume->exhausted.size() != ts.exhausted.size()) {
+    TemplateState& ts = ex.templates_.front();
+    if (ex.options_.resume->exhausted.size() != ts.exhausted.size()) {
       return Status::InvalidArgument(
           "resume exhausted flags do not match the template's candidate "
           "count");
     }
-    ts.exhausted = executor->options_.resume->exhausted;
+    ts.exhausted = ex.options_.resume->exhausted;
   }
-  executor->stats_.num_templates =
-      static_cast<int>(executor->templates_.size());
-  executor->stats_.num_partitions = static_cast<int>(executor->parts_.size());
-  return Status::OK();
+  ex.stats_.num_templates = static_cast<int>(ex.templates_.size());
+  ex.stats_.num_partitions = static_cast<int>(ex.parts_.size());
+  return executor;
 }
 
-Result<std::unique_ptr<BatchExecutor>> BatchExecutor::Create(
-    const std::vector<BoundQuery>& queries, BatchOptions options) {
-  FASTMATCH_RETURN_IF_ERROR(ValidateBatch(queries, options));
-  for (const BoundQuery& q : queries) {
-    if (q.partitions != nullptr) {
-      return Status::InvalidArgument(
-          "query carries a partition set; use ShardedBatchExecutor::Create");
-    }
+std::vector<PartitionIoStats> BatchExecutor::partition_stats() const {
+  std::vector<PartitionIoStats> out;
+  out.reserve(parts_.size());
+  for (const Partition& part : parts_) {
+    PartitionIoStats s;
+    s.partition_store_id = part.store->id();
+    s.blocks_read = part.blocks_read;
+    s.rows_read = part.rows_read;
+    out.push_back(s);
   }
-  const std::shared_ptr<const ColumnStore>& store = queries.front().store;
-  // Resolve the batch's pin BEFORE construction: a versioned resume
-  // re-pins the donor's generation (the resumed scan runs in the
-  // donor's block space even if the store has since grown); otherwise
-  // pin the current generation.
-  StorePin pin;
-  if (options.resume.has_value() && options.resume->generation != 0) {
-    FASTMATCH_ASSIGN_OR_RETURN(pin, store->PinAt(options.resume->generation));
-  } else {
-    pin = store->Pin();
-  }
-  FASTMATCH_RETURN_IF_ERROR(CheckResumeGeometry(options, pin));
-  auto executor = std::unique_ptr<BatchExecutor>(
-      new BatchExecutor(store, pin, std::move(options)));
-  FASTMATCH_RETURN_IF_ERROR(Initialize(executor.get(), queries));
-  return executor;
+  return out;
 }
 
 void BatchExecutor::AddQuery(const BoundQuery& query) {
@@ -621,7 +652,7 @@ void BatchExecutor::ReadChunk() {
       Locate(to_read[i], &read_part_[i], &read_local_[i]);
     }
   }
-  const size_t slots = static_cast<size_t>(NumSlots());
+  const size_t slots = static_cast<size_t>(options_.num_threads);
   const auto read_slice = [&](int64_t w) {
     const size_t begin = num_reads * static_cast<size_t>(w) / slots;
     const size_t end = num_reads * (static_cast<size_t>(w) + 1) / slots;
@@ -642,12 +673,8 @@ void BatchExecutor::ReadChunk() {
       }
     }
   };
-  if (options_.shared_pool != nullptr) {
-    options_.shared_pool->ParallelFor(static_cast<int64_t>(slots), read_slice,
-                                      options_.num_threads);
-  } else {
-    pool_->ParallelFor(static_cast<int64_t>(slots), read_slice);
-  }
+  options_.shared_pool->ParallelFor(static_cast<int64_t>(slots), read_slice,
+                                    options_.num_threads);
 
   // Gather accounting (single-threaded, deterministic): logical rows per
   // chunk plus each partition's share.
@@ -710,11 +737,6 @@ void BatchExecutor::Locate(BlockId b, int* part, BlockId* local) const {
   *local = seg.local_begin + (b - seg.logical_begin);
 }
 
-int BatchExecutor::NumSlots() const {
-  return options_.shared_pool != nullptr ? std::max(1, options_.num_threads)
-                                         : pool_->size();
-}
-
 void BatchExecutor::SizeShards(TemplateState* ts) {
   if (!started_) return;
   const IoManager& domain = *ts->ios.front();
@@ -723,7 +745,7 @@ void BatchExecutor::SizeShards(TemplateState* ts) {
   // P matrices, so the scatter read writes without synchronization, and
   // the P=1 case degenerates to one matrix per slot (today's layout).
   ts->shards.assign(
-      static_cast<size_t>(NumSlots()) * num_parts,
+      static_cast<size_t>(options_.num_threads) * num_parts,
       CountMatrix(domain.num_candidates(), domain.num_groups()));
   if (partitions_ != nullptr && options_.stage1_sink != nullptr &&
       ts->part_cum.empty()) {
@@ -741,38 +763,12 @@ void BatchExecutor::SetCompletionCallback(
   on_complete_ = std::move(fn);
 }
 
-void BatchExecutor::SetProgressCallback(
-    std::function<void(size_t, const ProgressUpdate&)> fn) {
-  FASTMATCH_CHECK(!started_)
-      << "SetProgressCallback after Start: updates already missed";
-  on_progress_ = std::move(fn);
-}
-
 void BatchExecutor::NotifyCompletions() {
-  if (!on_complete_ && !on_progress_) return;
+  if (!on_complete_) return;
   for (size_t i = 0; i < queries_.size(); ++i) {
     QueryState& q = queries_[i];
     if (q.active || q.notified) continue;
     q.notified = true;
-    if (on_progress_ && q.status.ok()) {
-      // Final update, built FROM the delivered result so the streamed
-      // view and the future's answer agree bit-for-bit (the progressive-
-      // monotonicity contract's terminal condition).
-      ProgressUpdate up;
-      up.sequence = ++q.progress_seq;
-      up.topk = q.match.topk;
-      up.topk_distances = q.match.topk_distances;
-      up.distances = q.match.distances;
-      up.error_bars = q.match.error_bars;
-      up.exact = q.match.exact;
-      up.rows_consumed = q.match.diag.stage1_samples +
-                         q.match.diag.stage2_samples +
-                         q.match.diag.stage3_samples;
-      up.blocks_read = stats_.blocks_read;
-      up.final_update = true;
-      on_progress_(i, up);
-    }
-    if (!on_complete_) continue;
     BatchItem item;
     item.status = q.status;
     item.match = q.match;  // copy: TakeItems still moves the original
@@ -781,24 +777,24 @@ void BatchExecutor::NotifyCompletions() {
   }
 }
 
-void BatchExecutor::EmitProgress() {
-  if (!on_progress_) return;
-  for (size_t i = 0; i < queries_.size(); ++i) {
-    QueryState& q = queries_[i];
-    if (!q.active) continue;
-    const TemplateState& ts = templates_[q.tmpl];
-    // The in-flight phase's fresh sample, by the same cumulative-minus-
-    // snapshot rule SupplyPhase uses; the machine pools it with its
-    // folded phases for the snapshot.
-    CountMatrix partial = ts.cum;
-    partial.Subtract(q.snapshot);
-    const int64_t partial_rows = ts.rows_cum - q.snap_rows;
-    ProgressUpdate up = q.machine.Progress(&partial, partial_rows);
-    if (up.distances.empty()) continue;  // machine not live yet
-    up.sequence = ++q.progress_seq;
-    up.blocks_read = stats_.blocks_read;
-    on_progress_(i, up);
+std::optional<ProgressUpdate> BatchExecutor::Progress(size_t index) const {
+  if (index >= queries_.size() || !queries_[index].active) {
+    return std::nullopt;
   }
+  const QueryState& q = queries_[index];
+  const TemplateState& ts = templates_[q.tmpl];
+  // The in-flight phase's fresh sample, by the same cumulative-minus-
+  // snapshot rule SupplyPhase uses; the machine pools it with its
+  // folded phases for the snapshot.
+  CountMatrix partial = ts.cum;
+  partial.Subtract(q.snapshot);
+  ProgressUpdate up =
+      q.machine.Progress(&partial, ts.rows_cum - q.snap_rows);
+  // A machine not live yet, or one that has drawn nothing: there is no
+  // estimate to report.
+  if (up.distances.empty() || up.rows_consumed == 0) return std::nullopt;
+  up.blocks_read = stats_.blocks_read;
+  return up;
 }
 
 void BatchExecutor::Start() {
@@ -806,9 +802,6 @@ void BatchExecutor::Start() {
   started_ = true;
   timer_.Restart();
 
-  if (options_.shared_pool == nullptr) {
-    pool_ = std::make_unique<WorkerPool>(options_.num_threads);
-  }
   for (TemplateState& ts : templates_) SizeShards(&ts);
   if (options_.resume.has_value()) {
     cursor_ = options_.resume->cursor;
@@ -831,7 +824,6 @@ bool BatchExecutor::Step() {
   ReadChunk();
   Settle();
   NotifyCompletions();
-  EmitProgress();
   return AnyActive();
 }
 
@@ -979,7 +971,6 @@ std::vector<BatchItem> BatchExecutor::TakeItems() {
   FASTMATCH_CHECK(!AnyActive())
       << "BatchExecutor::TakeItems with active queries";
   taken_ = true;
-  pool_.reset();
 
   std::vector<BatchItem> items;
   items.reserve(queries_.size());

@@ -92,22 +92,27 @@
 // bit-for-bit identical to the cold run that produced the snapshot —
 // the equivalence the warm-start tests assert.
 //
-// Horizontal sharding (ShardedBatchExecutor, engine/
-// sharded_batch_executor.h): the scan substrate is partition-aware —
-// every batch reads through a list of (partition store, block offset)
-// slices, which has exactly one entry (the whole store) unless the
-// batch was created over a PartitionedStore. The sharded run keeps the
-// SAME logical cursor, chunk schedule, marking, and exhaustion logic in
-// logical block space and only scatters each marked block's read to its
-// partition's IoManager, gathering per-worker-per-partition CountMatrix
-// shards with commutative integer-sum merges — which is why a P-way run
-// is bit-for-bit identical to the P=1 run at every thread count.
+// Horizontal sharding: the scan substrate is partition-aware — every
+// batch reads through a list of (partition store, block offset) slices,
+// which has exactly one entry (the whole store) unless the queries carry
+// a partition set (BoundQuery::partitions), in which case Create pins the
+// set and lists its partitions. The sharded run keeps the SAME logical
+// cursor, chunk schedule, marking, and exhaustion logic in logical block
+// space and only scatters each marked block's read to its partition's
+// IoManager, gathering per-worker-per-partition CountMatrix shards with
+// commutative integer-sum merges — which is why a P-way run is
+// bit-for-bit identical to the P=1 run at every thread count. On top of
+// that, a sharded batch accounts I/O per partition (partition_stats()),
+// exports a completed cold stage-1 phase as one snapshot per partition
+// (keyed by the set's id and the partition store's id, so cache entries
+// never cross partitions), and merges BoundQuery::stage1_warm_parts into
+// one overlapping stage-1 prior.
 //
 // Concurrency contract: the executor itself holds NO locks — by design
 // it has exactly one driver thread (the store's pipeline loop), which
-// calls Start/Step/Join/Evict/TakeItems strictly sequentially, and the
-// only parallelism is the per-chunk ParallelFor fork-join into the
-// shared worker pool (whose own queue is guarded inside WorkerPool;
+// calls Start/Step/Join/Evict/Progress/TakeItems strictly sequentially,
+// and the only parallelism is the per-chunk ParallelFor fork-join into
+// the SharedWorkerPool (whose own queue is guarded inside WorkerPool;
 // see docs/ARCHITECTURE.md, "Concurrency & lock hierarchy"). Worker
 // slots write disjoint CountMatrix shards, so no executor state needs
 // a mutex and the class stays invisible to the lock hierarchy. The
@@ -207,9 +212,8 @@ class Stage1Sink {
 
 /// \brief Batch executor knobs.
 struct BatchOptions {
-  /// Block-reader worker slots. With a private pool this is the pool
-  /// size; with `shared_pool` set it is the batch's concurrency quota
-  /// on that pool (at most this many shared workers at once).
+  /// Block-reader worker slots: the batch's concurrency quota on its
+  /// worker pool (at most this many pool workers at once).
   int num_threads = 4;
   /// Shared-scan window: cursor positions marked and read per chunk.
   /// Plays the role of the single-query engine's lookahead batch.
@@ -221,11 +225,11 @@ struct BatchOptions {
   /// fresh: pre-consumed blocks are never read and the cursor starts at
   /// the donor's position. See ScanResume.
   std::optional<ScanResume> resume;
-  /// When non-null, block reads run on this process-wide pool (at most
-  /// num_threads tasks at once — the batch's quota) instead of a
-  /// private per-batch WorkerPool. The pool must outlive the executor.
-  /// Shard layout and results are identical either way: shard count is
-  /// num_threads and merges are commutative integer sums.
+  /// Pool for block reads (at most num_threads tasks at once — the
+  /// batch's quota); nullptr selects SharedWorkerPool::Process(). The
+  /// pool must outlive the executor. Shard layout and results do not
+  /// depend on the pool: shard count is num_threads and merges are
+  /// commutative integer sums.
   SharedWorkerPool* shared_pool = nullptr;
   /// When non-null, every stage-1 phase completed from the scan is
   /// exported here as a Stage1Snapshot (warm-started queries complete
@@ -273,6 +277,13 @@ struct BatchStats {
   int num_partitions = 1;
 };
 
+/// \brief Per-partition share of one batch's I/O.
+struct PartitionIoStats {
+  uint64_t partition_store_id = 0;
+  int64_t blocks_read = 0;
+  int64_t rows_read = 0;
+};
+
 /// \brief Per-query outcome of a batch run (same order as the input;
 /// joined queries follow in Join() order).
 struct BatchItem {
@@ -299,10 +310,13 @@ class BatchExecutor {
  public:
   /// \brief Creates an executor for one batch. All queries must share one
   /// ColumnStore (shared-scan batching is per store; route queries over
-  /// different stores to different batches). Structural problems (empty
-  /// batch, mixed stores, invalid index, malformed resume state) fail
-  /// here; per-query problems (bad parameters, wrong target size)
-  /// surface as per-item statuses.
+  /// different stores to different batches) and one partition set:
+  /// either every query carries the same BoundQuery::partitions, split
+  /// from that store, and the batch scatter-gathers over it, or none
+  /// does. Structural problems (empty batch, mixed stores or partition
+  /// sets, invalid index, malformed resume state) fail here; per-query
+  /// problems (bad parameters, wrong target size) surface as per-item
+  /// statuses.
   static Result<std::unique_ptr<BatchExecutor>> Create(
       const std::vector<BoundQuery>& queries, BatchOptions options);
 
@@ -310,7 +324,7 @@ class BatchExecutor {
   /// exactly once; mutually exclusive with the Start()/Step() protocol.
   std::vector<BatchItem> Run();
 
-  /// \brief Starts the scan (worker pool, shard matrices, cursor) and
+  /// \brief Starts the scan (shard matrices, cursor) and
   /// settles any immediately-satisfiable phases. Call exactly once
   /// before Step()/Join().
   void Start();
@@ -357,8 +371,7 @@ class BatchExecutor {
   /// FailedPrecondition("query already completed") when the machine
   /// finished first — in that race the exact result exists and the
   /// caller must deliver IT, never a partial. The completion callback
-  /// (and a final ProgressUpdate, if a progress callback is set) fires
-  /// for the harvested query.
+  /// fires for the harvested query.
   Status EvictWithResult(size_t index);
 
   /// \brief Registers `fn`, called exactly once per query at the moment
@@ -376,19 +389,18 @@ class BatchExecutor {
   /// so retire-time consumers need no callback.
   void SetCompletionCallback(std::function<void(size_t, BatchItem)> fn);
 
-  /// \brief Registers `fn`, called at every chunk boundary for every
-  /// still-active query with its current anytime snapshot (top-k so
-  /// far, per-candidate distances and Theorem-1 error bars over the
-  /// pooled sample — see HistSimMachine::Progress), and exactly once
-  /// more per OK query at completion with `final_update = true`, where
-  /// the update mirrors the delivered MatchResult bit-for-bit. Per
-  /// query, `sequence` increases strictly from 1 and error bars shrink
-  /// weakly (the pooled sample only grows).
-  ///
-  /// Same discipline as the completion callback: synchronous on the
-  /// driving thread, set before Start(), fn must not re-enter the
-  /// executor. Unset (the default) costs the scan nothing.
-  void SetProgressCallback(std::function<void(size_t, const ProgressUpdate&)> fn);
+  /// \brief The anytime snapshot of still-active query `index`: top-k so
+  /// far, per-candidate distances and Theorem-1 error bars over its
+  /// pooled sample (folded phases plus the in-flight phase's
+  /// cumulative-minus-snapshot counts; see HistSimMachine::Progress),
+  /// with blocks_read stamped. Between chunks the pooled sample only
+  /// grows, so successive snapshots' bars shrink weakly. nullopt for an
+  /// unknown or completed query, and for one with no sampled rows yet
+  /// (a cold query before its first read). The caller stamps
+  /// `sequence` and builds the final update from the delivered result
+  /// (FinalProgressUpdate). Const: pulling costs the scan nothing, and a
+  /// query nobody asks about costs nothing at all.
+  std::optional<ProgressUpdate> Progress(size_t index) const;
 
   /// \brief Moves out the per-query outcomes. Requires Start() and no
   /// remaining active queries; valid once.
@@ -423,7 +435,13 @@ class BatchExecutor {
   /// store — a concurrent append cannot move the scan's goalposts.
   const StorePin& pin() const { return pin_; }
 
- protected:
+  /// \brief Per-partition I/O so far (indices match the partition set;
+  /// one whole-store entry when unpartitioned). Sums to
+  /// stats().blocks_read / stats().rows_read: the scatter re-routes
+  /// reads, it never adds or drops any.
+  std::vector<PartitionIoStats> partition_stats() const;
+
+ private:
   /// One slice of the logical scan: a partition store plus its PINNED
   /// geometry, with per-partition I/O accounting. An unpartitioned
   /// batch has exactly one entry — the whole store — so the
@@ -436,43 +454,6 @@ class BatchExecutor {
     int64_t rows_read = 0;
   };
 
-  BatchExecutor(std::shared_ptr<const ColumnStore> store, StorePin pin,
-                BatchOptions options);
-
-  /// Shared Create tail for the plain and sharded factories: installs
-  /// resume state, binds every query, validates resume exhaustion
-  /// flags. The caller has already validated options, store sharing,
-  /// and (for the sharded factory) partition-set consistency.
-  static Status Initialize(BatchExecutor* executor,
-                           const std::vector<BoundQuery>& queries);
-
-  /// Structural validation shared by both factories: options ranges and
-  /// one shared store. Pin-dependent checks (empty store, resume
-  /// geometry) live in CheckResumeGeometry, called by each factory
-  /// after it resolved the batch's pin.
-  static Status ValidateBatch(const std::vector<BoundQuery>& queries,
-                              const BatchOptions& options);
-
-  /// Pin-dependent structural checks: non-empty pinned store, resume
-  /// consumed-bitvector size and cursor range against the pinned block
-  /// count.
-  static Status CheckResumeGeometry(const BatchOptions& options,
-                                    const StorePin& pin);
-
-  /// The logical scan's partitions (size 1 unless sharded). Filled by
-  /// the constructor (whole store) or the sharded factory; immutable
-  /// once the first query is bound.
-  std::vector<Partition> parts_;
-  /// Logical-to-physical block mapping: contiguous runs, ordered by
-  /// logical_begin (the pinned prefix of the partition set's segment
-  /// table; one whole-store segment when unpartitioned). Filled by the
-  /// constructor or the sharded factory alongside parts_.
-  std::vector<ScanSegment> segments_;
-  /// Non-null iff this batch scatter-gathers over a PartitionedStore
-  /// (set by ShardedBatchExecutor before Initialize).
-  std::shared_ptr<const PartitionedStore> partitions_;
-
- private:
   /// Per-(z_attr, x_attrs) shared state: one scan kernel per partition,
   /// one cumulative count matrix, sticky exhaustion, and per-worker
   /// per-partition shards.
@@ -519,8 +500,10 @@ class BatchExecutor {
     Status status;
     MatchResult match;
     double wall_seconds = 0;
-    uint64_t progress_seq = 0;  // last ProgressUpdate::sequence issued
   };
+
+  BatchExecutor(std::shared_ptr<const ColumnStore> store, StorePin pin,
+                BatchOptions options);
 
   void AddQuery(const BoundQuery& query);
   Status BindQuery(const BoundQuery& query, QueryState* qs);
@@ -542,19 +525,20 @@ class BatchExecutor {
   /// sharded (and the per-partition decomposition is available).
   void ExportStage1(const QueryState& q, const TemplateState& ts,
                     CountMatrix fresh, int64_t drawn);
-  /// Worker slots feeding per-chunk reads (private pool size or the
-  /// shared-pool quota); valid after Start().
-  int NumSlots() const;
-  /// Fires the terminal callbacks for every newly-inactive query: the
-  /// final ProgressUpdate (OK queries, progress callback set) then the
-  /// completion callback.
+  /// Fires the completion callback for every newly-inactive query.
   void NotifyCompletions();
-  /// Fires the progress callback for every still-active query with its
-  /// current pooled-sample snapshot (chunk-boundary emission).
-  void EmitProgress();
 
   std::shared_ptr<const ColumnStore> store_;
-  BatchOptions options_;
+  /// Non-null iff this batch scatter-gathers over a PartitionedStore.
+  std::shared_ptr<const PartitionedStore> partitions_;
+  /// The logical scan's partitions (size 1 unless sharded) and the
+  /// logical-to-physical block mapping: contiguous runs ordered by
+  /// logical_begin (the pinned prefix of the partition set's segment
+  /// table; one whole-store segment when unpartitioned). Filled by
+  /// Create before the first query is bound; immutable afterwards.
+  std::vector<Partition> parts_;
+  std::vector<ScanSegment> segments_;
+  BatchOptions options_;  // shared_pool is never null after Create
   /// The batch's pinned logical geometry (for a sharded batch the
   /// store_id is the partition SET's id and generation the set's).
   StorePin pin_;
@@ -570,7 +554,6 @@ class BatchExecutor {
   int64_t streak_ = 0;  // zero-read cursor positions in a row
   std::vector<TemplateState> templates_;
   std::vector<QueryState> queries_;
-  std::unique_ptr<WorkerPool> pool_;
   std::vector<uint8_t> marked_;  // per-chunk OR of template marks
   // Per-chunk scatter scratch: to_read[i] maps to partition
   // read_part_[i], local block read_local_[i]; chunk_part_rows_[p] is
@@ -579,7 +562,6 @@ class BatchExecutor {
   std::vector<BlockId> read_local_;
   std::vector<int64_t> chunk_part_rows_;
   std::function<void(size_t, BatchItem)> on_complete_;
-  std::function<void(size_t, const ProgressUpdate&)> on_progress_;
   BatchStats stats_;
   WallTimer timer_;  // restarted at Start(); item wall_seconds base
   bool started_ = false;

@@ -4,7 +4,8 @@
 //   Scan       exact heap scan; prunes by exact selectivity; always correct.
 //   ScanMatch  HistSim termination, sequential reads, no block skipping.
 //   SyncMatch  HistSim + AnyActive applied per block, synchronously (Alg 2).
-//   FastMatch  HistSim + AnyActive with asynchronous lookahead (Alg 3).
+//   FastMatch  HistSim + AnyActive over lookahead windows (Alg 3, marked
+//              synchronously on the query thread).
 
 #ifndef FASTMATCH_ENGINE_EXECUTOR_H_
 #define FASTMATCH_ENGINE_EXECUTOR_H_
@@ -72,8 +73,8 @@ struct BoundQuery {
   /// (BatchStats::stale_warm_dropped counts these).
   uint64_t stage1_warm_generation = 0;
   /// Partition set for sharded execution: when set, `store` must be the
-  /// set's source store and the query routes to a scatter-gather batch
-  /// (ShardedBatchExecutor). Queries in one batch must all carry the
+  /// set's source store and the batch executor scatter-gathers the scan
+  /// over the set's partitions. Queries in one batch must all carry the
   /// same set. Ignored by the single-query RunQuery approaches.
   std::shared_ptr<const PartitionedStore> partitions;
   /// Per-partition warm starts for sharded execution: when non-empty,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "engine/sharded_batch_executor.h"
 #include "service/stage1_revalidator.h"
 #include "util/logging.h"
 
@@ -329,9 +328,23 @@ bool QueryScheduler::GatherLaunchBatch(Pipeline* pipeline,
   }
 }
 
+void QueryScheduler::PublishProgress(Admitted* a, ProgressUpdate update) {
+  update.sequence = ++a->progress_seq;
+  if (a->progress != nullptr) a->progress->Publish(update);
+  if (a->on_progress) a->on_progress(update);
+}
+
 void QueryScheduler::FulfillAdmitted(Admitted* a, BatchItem item,
                                      Clock::time_point batch_start,
-                                     bool eager) {
+                                     int64_t blocks_read) {
+  if (item.status.ok() && a->tracks_progress()) {
+    // The final update mirrors the delivered result bit for bit and
+    // lands before the future resolves, so a consumer that sees the
+    // future ready has already seen the final snapshot.
+    ProgressUpdate final_update = FinalProgressUpdate(item.match);
+    final_update.blocks_read = blocks_read;
+    PublishProgress(a, std::move(final_update));
+  }
   SchedulerItem out;
   out.status = std::move(item.status);
   out.match = std::move(item.match);
@@ -339,16 +352,12 @@ void QueryScheduler::FulfillAdmitted(Admitted* a, BatchItem item,
   out.queue_seconds = ToSeconds(a->admitted - a->enqueued);
   // Per-item completion instant: the executor stamps wall_seconds from
   // batch start, so batch_start + wall_seconds is when the query's
-  // machine actually finished (with retire-time delivery, promises are
-  // fulfilled later — using "now" would overstate early finishers'
-  // latency).
+  // machine actually finished.
   const Clock::time_point completion =
       batch_start + FromSeconds(item.wall_seconds);
   out.total_seconds = ToSeconds(completion - a->enqueued);
   a->fulfilled = true;
-  if (eager) {
-    counters_.eager_delivered.fetch_add(1, std::memory_order_relaxed);
-  }
+  counters_.eager_delivered.fetch_add(1, std::memory_order_relaxed);
   Resolve(&a->promise, std::move(out));
 }
 
@@ -436,9 +445,8 @@ void QueryScheduler::EvictCancelled(BatchExecutor* executor,
     const Status evicted = executor->Evict(i);
     if (evicted.ok()) {
       counters_.evicted.fetch_add(1, std::memory_order_relaxed);
-      // The executor reported the Cancelled item through the completion
-      // callback (eager mode) or will return it from TakeItems (retire
-      // mode); delivery rides the normal paths either way.
+      // The executor reports the Cancelled item through the completion
+      // callback; delivery rides the normal path.
     }
     // !ok means the query completed before the cancel landed: the
     // result exists and is delivered normally — a cancel never turns a
@@ -459,11 +467,10 @@ void QueryScheduler::EvictBudgetExpired(BatchExecutor* executor,
     const Status harvested = executor->EvictWithResult(i);
     if (harvested.ok()) {
       // The harvested best-effort item (status OK, match.best_effort)
-      // rides the normal delivery paths: the completion callback in
-      // eager mode, TakeItems at retire. Terminal accounting lands in
-      // budget_evicted ONLY — the future resolves OK, so Resolve()
-      // counts it as a plain completion, never deadline_exceeded or
-      // cancelled.
+      // rides the normal delivery path, the completion callback.
+      // Terminal accounting lands in budget_evicted ONLY — the future
+      // resolves OK, so Resolve() counts it as a plain completion, never
+      // deadline_exceeded or cancelled.
       counters_.budget_evicted.fetch_add(1, std::memory_order_relaxed);
     }
     // !ok means the machine completed in this same chunk: the EXACT
@@ -608,20 +615,11 @@ void QueryScheduler::RunBatch(Pipeline* pipeline,
       }
     }
   }
-  Result<std::unique_ptr<BatchExecutor>> create = [&] {
-    if (queries.front().partitions == nullptr) {
-      return BatchExecutor::Create(queries, batch_options);
-    }
+  if (queries.front().partitions != nullptr) {
     counters_.sharded_batches.fetch_add(1, std::memory_order_relaxed);
-    Result<std::unique_ptr<ShardedBatchExecutor>> sharded =
-        ShardedBatchExecutor::Create(queries, queries.front().partitions,
-                                     batch_options);
-    if (!sharded.ok()) {
-      return Result<std::unique_ptr<BatchExecutor>>(sharded.status());
-    }
-    return Result<std::unique_ptr<BatchExecutor>>(
-        std::unique_ptr<BatchExecutor>(std::move(*sharded)));
-  }();
+  }
+  Result<std::unique_ptr<BatchExecutor>> create =
+      BatchExecutor::Create(queries, batch_options);
   if (!create.ok()) {
     // Structural failure (e.g. empty store): every query of the batch
     // learns the same status through its future.
@@ -642,43 +640,40 @@ void QueryScheduler::RunBatch(Pipeline* pipeline,
   const int64_t num_blocks = executor->pin().num_blocks;
 
   const Clock::time_point batch_start = Clock::now();
-  // Eager delivery: machine completions surface here, synchronously on
-  // this thread from inside Start/Step/Join/Evict. Buffered rather than
+  // Delivery: machine completions surface here, synchronously on this
+  // thread from inside Start/Step/Join/Evict. Buffered rather than
   // fulfilled inline because a Join()'s instant completion (binding
   // failure) fires before its Admitted entry exists.
   std::vector<std::pair<size_t, BatchItem>> ready;
-  if (options_.eager_delivery) {
-    executor->SetCompletionCallback([&ready](size_t index, BatchItem item) {
-      ready.emplace_back(index, std::move(item));
-    });
-  }
-  // Anytime streaming: the executor emits per-query snapshots at every
-  // chunk boundary; route each to its query's consumers. Runs on THIS
-  // thread inside Step/EvictWithResult with no pipeline lock held (the
-  // promise-resolution discipline applies to progress publication too);
-  // `admitted` only grows, and only between Steps, so the index map is
-  // stable whenever the callback fires. A query that opted out costs
-  // one null check.
-  executor->SetProgressCallback(
-      [&admitted](size_t index, const ProgressUpdate& update) {
-        if (index >= admitted.size()) return;
-        Admitted& a = admitted[index];
-        if (a.progress != nullptr) a.progress->Publish(update);
-        if (a.on_progress) a.on_progress(update);
-      });
+  executor->SetCompletionCallback([&ready](size_t index, BatchItem item) {
+    ready.emplace_back(index, std::move(item));
+  });
   const auto deliver_ready = [&] {
     for (auto& [index, item] : ready) {
       FASTMATCH_CHECK(index < admitted.size());
-      if (!admitted[index].fulfilled) {
-        FulfillAdmitted(&admitted[index], std::move(item), batch_start,
-                        /*eager=*/true);
-      }
+      FASTMATCH_CHECK(!admitted[index].fulfilled);
+      FulfillAdmitted(&admitted[index], std::move(item), batch_start,
+                      executor->stats().blocks_read);
     }
     ready.clear();
+  };
+  // Anytime streaming: pull a snapshot for every still-running query
+  // that has a consumer — launch-time and joined alike — and for no
+  // other. Runs on THIS thread with no pipeline lock held (the
+  // promise-resolution discipline applies to progress publication too).
+  // Delivered queries are skipped, so nothing follows a final update.
+  const auto publish_progress = [&] {
+    for (size_t i = 0; i < admitted.size(); ++i) {
+      Admitted& a = admitted[i];
+      if (a.fulfilled || !a.tracks_progress()) continue;
+      std::optional<ProgressUpdate> update = executor->Progress(i);
+      if (update.has_value()) PublishProgress(&a, std::move(*update));
+    }
   };
 
   executor->Start();
   deliver_ready();
+  publish_progress();
   for (;;) {
     // Chunk-boundary lifecycle pass, in dependency order: shed the
     // queue (a cancelled/expired query must not be joined), evict
@@ -696,19 +691,15 @@ void QueryScheduler::RunBatch(Pipeline* pipeline,
     if (executor->finished()) break;
     executor->Step();
     deliver_ready();
+    publish_progress();
   }
 
   counters_.batch_blocks_read.fetch_add(executor->stats().blocks_read,
                                         std::memory_order_relaxed);
-  std::vector<BatchItem> items = executor->TakeItems();
-  FASTMATCH_CHECK_EQ(items.size(), admitted.size());
-  for (size_t i = 0; i < items.size(); ++i) {
-    // Retire-time delivery: everything eager delivery (or eviction)
-    // did not already resolve — all items, when eager_delivery is off.
-    if (admitted[i].fulfilled) continue;
-    FulfillAdmitted(&admitted[i], std::move(items[i]), batch_start,
-                    /*eager=*/false);
-  }
+  // Every query completes through the callback exactly once (Create
+  // failures from Start, joins from Join, evictions from Evict), so a
+  // finished batch has no unanswered future.
+  for (const Admitted& a : admitted) FASTMATCH_CHECK(a.fulfilled);
 }
 
 void QueryScheduler::PipelineLoop(Pipeline* pipeline) {

@@ -55,10 +55,11 @@
 // boundary into a best-effort result with honest non-exact error bars —
 // an OK answer, never an error (and never if the machine completed
 // first: the exact result always wins the race). Anytime streaming
-// rides the same chunk boundaries: a query submitted with
-// track_progress / on_progress surfaces its current top-k with
-// per-candidate Theorem-1 error bars (ProgressUpdate) after every chunk,
-// published by the driver with no pipeline lock held. Cancel() — or
+// rides the same chunk boundaries: for a query submitted with
+// track_progress / on_progress, the driver pulls its current top-k with
+// per-candidate Theorem-1 error bars (BatchExecutor::Progress) after
+// every chunk and publishes it with no pipeline lock held; queries that
+// did not ask cost nothing. Cancel() — or
 // abandoning the QueryHandle without taking its result — marks the
 // query; a queued query is shed, a running query is evicted from the
 // batch at the next chunk boundary (its template's contribution leaves
@@ -66,11 +67,11 @@
 // work). A cancel that races completion loses benignly: the finished
 // result is delivered.
 //
-// Eager delivery: by default a query's future is fulfilled the moment
-// its HistSim machine completes mid-scan (the executor's completion
-// callback), not when the whole batch retires — the paper's per-query
-// latency bound made real at the service boundary. eager_delivery=false
-// restores retire-time delivery (the bench baseline).
+// Eager delivery: a query's future is fulfilled the moment its HistSim
+// machine completes mid-scan (the executor's completion callback), not
+// when the whole batch retires — the paper's per-query latency bound
+// made real at the service boundary. The completion callback is the
+// only delivery path.
 //
 // Threads. Submit may be called from any thread; QueryHandle::Cancel is
 // thread-safe. Each pipeline thread is the only driver of its
@@ -130,11 +131,6 @@ struct SchedulerOptions {
   /// store's blocks remains unconsumed; the query waits for a fresh
   /// batch instead. 0 admits joins until the scan's final chunk.
   double min_join_suffix_fraction = 0.05;
-  /// Fulfill a query's future the moment its machine completes
-  /// mid-scan. When false, every future of a batch is fulfilled at
-  /// batch retire (pre-lifecycle behaviour; bench_lifecycle's
-  /// baseline).
-  bool eager_delivery = true;
   /// Reap a store pipeline (join its driver thread, drop its queue)
   /// once it has had no pending or running work for this long; <= 0
   /// disables reaping. A reaped store transparently gets a fresh
@@ -175,7 +171,7 @@ struct SubmitOptions {
   double budget_seconds = 0;
   /// Allocate a poll channel for this query: QueryHandle::Progress()
   /// then returns the latest anytime snapshot (see ProgressUpdate)
-  /// published at each chunk boundary of the query's scan.
+  /// pulled at each chunk boundary of the query's scan.
   bool track_progress = false;
   /// Streaming variant: invoked at every chunk boundary with the
   /// query's current anytime snapshot, and once more with
@@ -200,7 +196,8 @@ struct SchedulerStats {
   // query to warm and join it (counted in joined_midflight instead).
   int64_t join_fallbacks = 0;
   int64_t pipelines = 0;          // pipelines ever created
-  int64_t eager_delivered = 0;    // futures fulfilled before batch retire
+  int64_t eager_delivered = 0;    // admitted queries' futures fulfilled
+                                  // at their completion chunk
   int64_t deadline_exceeded = 0;  // shed while queued, deadline passed
   int64_t cancelled = 0;          // terminal Cancelled (queued + evicted)
   int64_t evicted = 0;            // removed from a running batch (cancel)
@@ -258,9 +255,7 @@ struct SchedulerItem {
   /// until it was shed for queries that never entered one.
   double queue_seconds = 0;
   /// Seconds from Submit until the query's machine completed (queueing
-  /// + execution). With eager delivery (the default) the future is
-  /// fulfilled at that same moment; with retire-time delivery the
-  /// future can become ready later than total_seconds suggests.
+  /// + execution); the future is fulfilled at that same chunk boundary.
   double total_seconds = 0;
   /// True when the query joined a running scan mid-flight.
   bool joined_midflight = false;
@@ -471,8 +466,8 @@ class QueryScheduler {
     Clock::time_point enqueued;
     Clock::time_point admitted;
     bool joined_midflight = false;
-    /// Promise already resolved (eager delivery or eviction); the
-    /// retire-time sweep must skip it — exactly-once is the contract.
+    /// Promise already resolved (completion callback); checked at
+    /// batch retire — exactly-once is the contract.
     bool fulfilled = false;
     /// Evict() already issued for this query; don't re-issue each
     /// chunk boundary.
@@ -484,6 +479,12 @@ class QueryScheduler {
     /// Progress consumers (null/empty when the query opted out).
     std::shared_ptr<ProgressChannel> progress;
     std::function<void(const ProgressUpdate&)> on_progress;
+    /// Last ProgressUpdate::sequence published for this query.
+    uint64_t progress_seq = 0;
+
+    bool tracks_progress() const {
+      return progress != nullptr || on_progress != nullptr;
+    }
   };
 
   /// Per-store pipeline: bounded pending queue + driver thread.
@@ -527,8 +528,8 @@ class QueryScheduler {
   bool GatherLaunchBatch(Pipeline* pipeline, std::vector<BoundQuery>* queries,
                          std::vector<Admitted>* admitted)
       FASTMATCH_EXCLUDES(pipeline->mu);
-  /// Runs one executor to completion: joins, sheds, evictions, and
-  /// eager deliveries all happen at chunk boundaries.
+  /// Runs one executor to completion: joins, sheds, evictions,
+  /// deliveries and progress pulls all happen at chunk boundaries.
   void RunBatch(Pipeline* pipeline, std::vector<BoundQuery> queries,
                 std::vector<Admitted> admitted)
       FASTMATCH_EXCLUDES(pipeline->mu);
@@ -552,14 +553,20 @@ class QueryScheduler {
   /// woken waiter may re-enter the scheduler (Submit, stats) from the
   /// future's continuation.
   void FulfillShed(std::vector<Shed> shed);
-  /// Resolves one admitted query's promise with `item` (exactly once).
+  /// Resolves one admitted query's promise with `item` (exactly once),
+  /// first publishing the final ProgressUpdate — built from the
+  /// delivered result — to a tracked OK query's consumers.
+  /// `blocks_read` is the batch's scan progress at delivery.
   void FulfillAdmitted(Admitted* a, BatchItem item, Clock::time_point batch_start,
-                       bool eager);
+                       int64_t blocks_read);
+  /// Stamps the next sequence number and hands `update` to the query's
+  /// progress consumers. Must run with NO pipeline lock held.
+  static void PublishProgress(Admitted* a, ProgressUpdate update);
   /// Issues Evict() for admitted queries whose cancel flag is set.
   void EvictCancelled(BatchExecutor* executor, std::vector<Admitted>* admitted);
   /// Issues EvictWithResult() for admitted queries past their execution
   /// budget: the harvested best-effort item (status OK,
-  /// MatchResult::best_effort) rides the normal delivery paths. A
+  /// MatchResult::best_effort) rides the normal delivery path. A
   /// budget expiry racing the machine's completion loses — the exact
   /// result is delivered.
   void EvictBudgetExpired(BatchExecutor* executor,

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
-#include <utility>
 
-#include "engine/io_manager.h"
 #include "stats/hypergeometric.h"
 #include "util/random.h"
 
@@ -30,43 +27,66 @@ Result<RevalidationReport> RevalidateStage1(
     return Status::InvalidArgument(
         "RevalidateStage1: delta must lie in (0, 1)");
   }
-  FASTMATCH_ASSIGN_OR_RETURN(StoreView view, store->PinViewAt(generation));
-  FASTMATCH_ASSIGN_OR_RETURN(
-      auto io, IoManager::Create(store, z_attr,
-                                 std::vector<int>(x_attrs), std::move(view)));
-  const StorePin& pin = io->pin();
-  if (io->num_candidates() != prior.counts.num_candidates()) {
+  const Schema& schema = store->schema();
+  if (z_attr < 0 || z_attr >= schema.num_attributes()) {
+    return Status::InvalidArgument("RevalidateStage1: z_attr out of range");
+  }
+  for (int a : x_attrs) {
+    if (a < 0 || a >= schema.num_attributes()) {
+      return Status::InvalidArgument("RevalidateStage1: x_attr out of range");
+    }
+  }
+  const int num_candidates =
+      static_cast<int>(schema.attribute(z_attr).cardinality);
+  if (num_candidates != prior.counts.num_candidates()) {
     return Status::InvalidArgument(
         "RevalidateStage1: prior candidate count does not match the store's "
         "z-attribute cardinality");
   }
-  const int64_t total_rows = pin.num_rows;
+  FASTMATCH_ASSIGN_OR_RETURN(StoreView view, store->PinViewAt(generation));
+  const int64_t total_rows = view.pin().num_rows;
   if (total_rows <= 0) {
     return Status::FailedPrecondition(
         "RevalidateStage1: pinned generation is empty");
   }
 
-  // Draw distinct uniform blocks until the row budget is met. Blocks of
-  // a pre-shuffled store are themselves uniform row samples (§4.1), so
-  // a uniform block subset is a uniform without-replacement row sample.
-  std::vector<BlockId> blocks(static_cast<size_t>(pin.num_blocks));
-  std::iota(blocks.begin(), blocks.end(), BlockId{0});
-  Rng rng(options.seed);
-  rng.Shuffle(&blocks);
-
-  CountMatrix fresh(io->num_candidates(), io->num_groups());
-  RevalidationReport report;
-  for (BlockId b : blocks) {
-    if (report.fresh_rows >= options.sample_rows) break;
-    report.fresh_rows += io->ReadBlock(b, &fresh);
-    ++report.blocks_read;
+  // Draw s distinct uniform row ids over the pinned rows with Floyd's
+  // algorithm: O(s) whatever the relation's size, with membership in an
+  // open-addressing table of at least 2s slots. Rows, not blocks:
+  // appended rows are shuffled only within their own batch, so a block
+  // of appended rows is not a uniform sample of the relation. The seed
+  // mixes in the generation so successive generations draw different
+  // rows. The ids are read in draw order: sorting them for locality
+  // costs more than the cache misses it saves.
+  const int64_t s = std::min(options.sample_rows, total_rows);
+  uint64_t mix = options.seed ^ generation;
+  Rng rng(SplitMix64(&mix));
+  int bits = 1;
+  while ((int64_t{1} << bits) < 2 * s) ++bits;
+  std::vector<RowId> slots(size_t{1} << bits, -1);
+  std::vector<int64_t> fresh(static_cast<size_t>(num_candidates), 0);
+  // Counts `row` unless it was drawn already; returns whether it was new.
+  const auto draw = [&](RowId row) {
+    size_t i = static_cast<size_t>(
+        (static_cast<uint64_t>(row) * 0x9E3779B97F4A7C15ULL) >> (64 - bits));
+    for (; slots[i] != -1; i = (i + 1) & (slots.size() - 1)) {
+      if (slots[i] == row) return false;
+    }
+    slots[i] = row;
+    ++fresh[static_cast<size_t>(view.Get(z_attr, row))];
+    return true;
+  };
+  for (RowId j = total_rows - s; j < total_rows; ++j) {
+    if (!draw(static_cast<RowId>(rng.Uniform(static_cast<uint64_t>(j) + 1)))) {
+      draw(j);
+    }
   }
+  RevalidationReport report;
+  report.fresh_rows = s;
 
   // Per-candidate two-sided hypergeometric test of the prior's marginal
   // against the fresh draw. N = pinned rows, K_c = the prior's implied
   // candidate total at this generation, s = fresh sample size.
-  const int num_candidates = fresh.num_candidates();
-  const int64_t s = report.fresh_rows;
   const double bonferroni =
       options.delta / static_cast<double>(std::max(num_candidates, 1));
   for (int c = 0; c < num_candidates; ++c) {
@@ -74,10 +94,11 @@ Result<RevalidationReport> RevalidateStage1(
                        static_cast<double>(prior.rows_drawn);
     const int64_t k = std::clamp<int64_t>(
         std::llround(p_c * static_cast<double>(total_rows)), 0, total_rows);
-    const int64_t f = fresh.RowTotal(c);
+    const int64_t f = fresh[static_cast<size_t>(c)];
     const double lower = HypergeomCdf(f, total_rows, k, s);
-    const double upper =
-        f > 0 ? 1.0 - HypergeomCdf(f - 1, total_rows, k, s) : 1.0;
+    // P(X >= f) = 1 - P(X <= f) + P(X = f): one O(f) CDF pass serves
+    // both tails.
+    const double upper = 1.0 - lower + HypergeomPmf(f, total_rows, k, s);
     const double p_value = std::min(1.0, 2.0 * std::min(lower, upper));
     if (p_value < report.min_p_value) {
       report.min_p_value = p_value;

@@ -24,9 +24,11 @@
 // false DRIFTING merely re-pays stage 1, while a false STABLE serves a
 // prior whose deviation the fresh sample could not distinguish from
 // noise — exactly the deviations too small for stage 1's own
-// hypergeometric tests to act on. Sampling uses whole blocks (the I/O
-// unit): uniformly chosen distinct blocks of a pre-shuffled store are
-// a uniform row sample, the same §4.1 argument every scan rests on.
+// hypergeometric tests to act on. The fresh sample is s distinct
+// uniformly drawn row ids, read through a pinned StoreView. Whole
+// blocks would not do: an append is shuffled only within its own
+// batch, so a block of appended rows can hold one candidate alone, and
+// a handful of blocks would read it as drift of the whole relation.
 
 #ifndef FASTMATCH_SERVICE_STAGE1_REVALIDATOR_H_
 #define FASTMATCH_SERVICE_STAGE1_REVALIDATOR_H_
@@ -43,14 +45,15 @@ namespace fastmatch {
 
 /// \brief Drift-test knobs.
 struct RevalidatorOptions {
-  /// Minimum fresh rows to draw (rounded up to whole blocks). The test
-  /// power grows with the sample; 4096 rows resolves marginal shifts of
-  /// a few percent at the default delta.
+  /// Fresh rows to draw (all of them when the pinned relation is
+  /// smaller). The test power grows with the sample; 4096 rows
+  /// resolves marginal shifts of a few percent at the default delta.
   int64_t sample_rows = 4096;
   /// Family-wise false-drift rate: a STABLE prior is wrongly evicted
   /// with probability <= delta. Split across candidates (Bonferroni).
   double delta = 1e-3;
-  /// Seed for the block draw (replayable, like every other sampler).
+  /// Seed for the row draw (replayable, like every other sampler);
+  /// mixed with the pinned generation, so each generation draws anew.
   uint64_t seed = 0x5eedf00d;
 };
 
@@ -61,8 +64,7 @@ enum class RevalidationVerdict {
 
 struct RevalidationReport {
   RevalidationVerdict verdict = RevalidationVerdict::kStable;
-  int64_t fresh_rows = 0;   // rows actually drawn (whole blocks)
-  int64_t blocks_read = 0;  // distinct blocks scanned
+  int64_t fresh_rows = 0;   // rows actually drawn
   double min_p_value = 1.0; // smallest per-candidate two-sided p
   int worst_candidate = -1; // candidate attaining min_p_value
 };

@@ -2,11 +2,13 @@
 // and execution budgets (SubmitOptions::budget_seconds).
 //
 // What is pinned here:
-//   * the executor's progress stream is well-formed — sequences count
-//     1, 2, ... with exactly one final update, per-candidate error bars
-//     shrink weakly across updates at a fixed seed, and the final
-//     update reproduces the delivered MatchResult bit-for-bit — across
-//     worker counts and on sharded (scatter-gather) stores;
+//   * the stream pulled from BatchExecutor::Progress after Start and
+//     every Step, closed by FinalProgressUpdate, is well-formed —
+//     sequences count 1, 2, ... with exactly one final update,
+//     per-candidate error bars shrink weakly across updates at a fixed
+//     seed, and the final update reproduces the delivered MatchResult
+//     bit-for-bit — across worker counts and on sharded
+//     (scatter-gather) stores;
 //   * EvictWithResult() harvests a best-effort OK result whose error
 //     bars contain the exact ground-truth distance for every candidate
 //     (seeded suite; deterministic at a fixed seed);
@@ -17,19 +19,24 @@
 //     set (never DeadlineExceeded / Cancelled), counts under
 //     stats().budget_evicted only, and both progress consumers — the
 //     QueryHandle::Progress() poll channel and the on_progress
-//     callback — observe the same stream.
+//     callback — observe the same stream;
+//   * the scheduler pulls progress for exactly the queries that ask,
+//     launch-time and mid-flight joiners alike, in batches where other
+//     queries asked for nothing.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "core/verify.h"
 #include "engine/batch_executor.h"
-#include "engine/sharded_batch_executor.h"
 #include "index/bitmap_index.h"
 #include "service/query_scheduler.h"
 #include "storage/partitioned_store.h"
@@ -147,21 +154,51 @@ void CheckBarsContainTruth(const MatchResult& match,
 
 // ------------------------------------------------ executor-level stream
 
+/// Drives `executor` to completion, pulling every query's snapshot
+/// after Start and after each Step (the scheduler's protocol), then
+/// closes each OK query's stream with its final update. Returns the
+/// per-query streams; `items` receives TakeItems().
+std::vector<std::vector<ProgressUpdate>> RunPullingProgress(
+    BatchExecutor* executor, std::vector<BatchItem>* items) {
+  std::vector<std::vector<ProgressUpdate>> streams(executor->num_queries());
+  const auto pull = [&] {
+    for (size_t i = 0; i < streams.size(); ++i) {
+      std::optional<ProgressUpdate> update = executor->Progress(i);
+      if (!update.has_value()) continue;
+      EXPECT_EQ(update->blocks_read, executor->stats().blocks_read);
+      update->sequence = streams[i].size() + 1;
+      streams[i].push_back(std::move(*update));
+    }
+  };
+  executor->Start();
+  pull();
+  for (bool more = true; more;) {
+    more = executor->Step();
+    pull();
+  }
+  // Completed queries have no live snapshot; unknown indices neither.
+  for (size_t i = 0; i <= streams.size(); ++i) {
+    EXPECT_FALSE(executor->Progress(i).has_value()) << "query " << i;
+  }
+  *items = executor->TakeItems();
+  for (size_t i = 0; i < items->size(); ++i) {
+    if (!(*items)[i].status.ok()) continue;
+    ProgressUpdate final_update = FinalProgressUpdate((*items)[i].match);
+    final_update.sequence = streams[i].size() + 1;
+    streams[i].push_back(std::move(final_update));
+  }
+  return streams;
+}
+
 TEST(AnytimeTest, ProgressStreamMonotoneAndFinalAcrossWorkerCounts) {
   for (int threads : {1, 2, 4}) {
     AnytimeFixture f = MakeAnytimeFixture(2000, 31);
     std::vector<BoundQuery> queries = {MakeQuery(f, 42), MakeQuery(f, 43)};
     auto executor =
         BatchExecutor::Create(queries, ExecOptions(threads)).value();
-    std::vector<std::vector<ProgressUpdate>> streams(queries.size());
-    executor->SetProgressCallback(
-        [&streams](size_t index, const ProgressUpdate& update) {
-          streams[index].push_back(update);
-        });
-    executor->Start();
-    while (executor->Step()) {
-    }
-    std::vector<BatchItem> items = executor->TakeItems();
+    std::vector<BatchItem> items;
+    std::vector<std::vector<ProgressUpdate>> streams =
+        RunPullingProgress(executor.get(), &items);
     ASSERT_EQ(items.size(), queries.size());
     for (size_t i = 0; i < items.size(); ++i) {
       ASSERT_TRUE(items[i].status.ok()) << items[i].status.ToString();
@@ -178,18 +215,11 @@ TEST(AnytimeTest, ProgressStreamOnShardedStore) {
   AnytimeFixture f = MakeAnytimeFixture(2000, 37);
   std::vector<BoundQuery> queries = {MakeQuery(f, 42, /*partitioned=*/true),
                                      MakeQuery(f, 44, /*partitioned=*/true)};
-  auto executor =
-      ShardedBatchExecutor::Create(queries, f.partitions, ExecOptions(2))
-          .value();
-  std::vector<std::vector<ProgressUpdate>> streams(queries.size());
-  executor->SetProgressCallback(
-      [&streams](size_t index, const ProgressUpdate& update) {
-        streams[index].push_back(update);
-      });
-  executor->Start();
-  while (executor->Step()) {
-  }
-  std::vector<BatchItem> items = executor->TakeItems();
+  auto executor = BatchExecutor::Create(queries, ExecOptions(2)).value();
+  ASSERT_EQ(executor->stats().num_partitions, 3);
+  std::vector<BatchItem> items;
+  std::vector<std::vector<ProgressUpdate>> streams =
+      RunPullingProgress(executor.get(), &items);
   for (size_t i = 0; i < items.size(); ++i) {
     ASSERT_TRUE(items[i].status.ok()) << items[i].status.ToString();
     ASSERT_GE(streams[i].size(), 2u);
@@ -279,7 +309,6 @@ SchedulerOptions AnytimeSchedOptions() {
   options.max_batch_queries = 8;
   options.max_queue_wait_seconds = 0.002;
   options.min_join_suffix_fraction = 0.0;
-  options.eager_delivery = true;
   return options;
 }
 
@@ -392,6 +421,135 @@ TEST(AnytimeTest, SchedulerProgressOnShardedStore) {
   ASSERT_TRUE(latest.has_value());
   EXPECT_TRUE(latest->final_update);
   scheduler.Shutdown();
+}
+
+/// One query's streamed updates, appended from the driver thread.
+struct StreamSink {
+  Mutex mu;
+  std::vector<ProgressUpdate> updates FASTMATCH_GUARDED_BY(mu);
+
+  void Add(const ProgressUpdate& update) {
+    MutexLock lock(&mu);
+    updates.push_back(update);
+  }
+  std::function<void(const ProgressUpdate&)> Callback() {
+    return [this](const ProgressUpdate& update) { Add(update); };
+  }
+  std::vector<ProgressUpdate> Take() {
+    MutexLock lock(&mu);
+    return updates;
+  }
+};
+
+TEST(AnytimeTest, PulledProgressReachesTrackedLaunchAndJoinedQueries) {
+  // One batch: a tracked query and an untracked one at launch, and a
+  // tracked query that joins mid-flight. The tracked query's first
+  // update holds the driver until the joiner is queued, so the join
+  // lands at the next chunk boundary deterministically.
+  AnytimeFixture f = MakeAnytimeFixture(4000, 47);
+  SchedulerOptions options = AnytimeSchedOptions();
+  options.max_queue_wait_seconds = 0.05;  // launch both first queries
+  QueryScheduler scheduler(options);
+
+  Mutex mu;
+  CondVar cv;
+  bool first_update_seen = false;
+  bool joiner_queued = false;
+  StreamSink launch_sink;
+  SubmitOptions tracked;
+  tracked.track_progress = true;
+  tracked.on_progress = [&](const ProgressUpdate& update) {
+    launch_sink.Add(update);
+    MutexLock lock(&mu);
+    if (first_update_seen) return;
+    first_update_seen = true;
+    cv.NotifyAll();
+    while (!joiner_queued) cv.Wait(&mu);
+  };
+  BoundQuery slow = MakeQuery(f, 42);
+  slow.params.epsilon = 0.03;  // keeps the scan running past the join
+  auto launch = scheduler.Submit(slow, tracked);
+  auto untracked = scheduler.Submit(MakeQuery(f, 43));
+  ASSERT_TRUE(launch.ok()) << launch.status().ToString();
+  ASSERT_TRUE(untracked.ok()) << untracked.status().ToString();
+  {
+    MutexLock lock(&mu);
+    while (!first_update_seen) cv.Wait(&mu);
+  }
+  StreamSink join_sink;
+  SubmitOptions joiner_options;
+  joiner_options.track_progress = true;
+  joiner_options.on_progress = join_sink.Callback();
+  auto joiner = scheduler.Submit(MakeQuery(f, 44), joiner_options);
+  ASSERT_TRUE(joiner.ok()) << joiner.status().ToString();
+  {
+    MutexLock lock(&mu);
+    joiner_queued = true;
+  }
+  cv.NotifyAll();
+
+  SchedulerItem launch_item = launch->Get();
+  SchedulerItem untracked_item = untracked->Get();
+  SchedulerItem joiner_item = joiner->Get();
+  ASSERT_TRUE(launch_item.status.ok()) << launch_item.status.ToString();
+  ASSERT_TRUE(untracked_item.status.ok()) << untracked_item.status.ToString();
+  ASSERT_TRUE(joiner_item.status.ok()) << joiner_item.status.ToString();
+  EXPECT_TRUE(joiner_item.joined_midflight);
+  EXPECT_EQ(scheduler.stats().batches_launched, 1);
+
+  const std::vector<ProgressUpdate> launch_stream = launch_sink.Take();
+  const std::vector<ProgressUpdate> join_stream = join_sink.Take();
+  ASSERT_GE(launch_stream.size(), 2u);
+  CheckUpdateStream(launch_stream, launch_item.match);
+  // The joiner streams from the first chunk after its admission, not
+  // just its final update.
+  ASSERT_GE(join_stream.size(), 2u);
+  CheckUpdateStream(join_stream, joiner_item.match);
+  for (QueryHandle* handle : {&*launch, &*joiner}) {
+    std::optional<ProgressUpdate> latest = handle->Progress();
+    ASSERT_TRUE(latest.has_value());
+    EXPECT_TRUE(latest->final_update);
+  }
+  EXPECT_FALSE(untracked->Progress().has_value());
+  scheduler.Shutdown();
+}
+
+TEST(AnytimeTest, JoinerStreamsProgressInAnUntrackedBatch) {
+  // No launch-time query asks for progress; a tracked joiner still gets
+  // its stream. Joining needs the scan to be running when the joiner
+  // arrives, which is timing-dependent, so retry a bounded number of
+  // times until one attempt joins.
+  AnytimeFixture f = MakeAnytimeFixture(4000, 53);
+  bool joined = false;
+  for (int attempt = 0; attempt < 20 && !joined; ++attempt) {
+    QueryScheduler scheduler(AnytimeSchedOptions());
+    BoundQuery slow = MakeQuery(f, 100 + attempt);
+    slow.params.epsilon = 0.02;
+    auto untracked = scheduler.Submit(slow);
+    ASSERT_TRUE(untracked.ok()) << untracked.status().ToString();
+    for (int spin = 0; scheduler.stats().batches_launched < 1 && spin < 10000;
+         ++spin) {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+    StreamSink sink;
+    SubmitOptions submit;
+    submit.on_progress = sink.Callback();
+    auto joiner = scheduler.Submit(MakeQuery(f, 200 + attempt), submit);
+    ASSERT_TRUE(joiner.ok()) << joiner.status().ToString();
+    SchedulerItem joiner_item = joiner->Get();
+    ASSERT_TRUE(untracked->Get().status.ok());
+    ASSERT_TRUE(joiner_item.status.ok()) << joiner_item.status.ToString();
+    const std::vector<ProgressUpdate> stream = sink.Take();
+    if (joiner_item.joined_midflight) {
+      joined = true;
+      ASSERT_GE(stream.size(), 2u);
+    }
+    // Joined or launched alone, a tracked query's stream keeps the
+    // contract.
+    CheckUpdateStream(stream, joiner_item.match);
+    scheduler.Shutdown();
+  }
+  EXPECT_TRUE(joined) << "no attempt joined the running scan";
 }
 
 TEST(AnytimeTest, UntrackedHandleHasNoProgressChannel) {

@@ -712,9 +712,9 @@ TEST(BatchExecutorStreamTest, EvictValidation) {
 }
 
 TEST(BatchExecutorStreamTest, SharedPoolMatchesPrivatePoolBitForBit) {
-  // The SharedWorkerPool path must be invisible to results: same batch,
-  // same quota, shared vs private pool — identical counts, top-k, and
-  // I/O accounting for every quota.
+  // The pool must be invisible to results: same batch, same quota, on
+  // the process pool (the default) vs a caller's own 4-worker pool —
+  // identical counts, top-k, and I/O accounting for every quota.
   BatchFixture f = MakeBatchFixture(8000, 34);
   TrafficOptions topt;
   topt.num_queries = 3;
@@ -741,7 +741,7 @@ TEST(BatchExecutorStreamTest, SharedPoolMatchesPrivatePoolBitForBit) {
       EXPECT_EQ(private_items[q].match.topk, shared_items[q].match.topk);
       ExpectSameCounts(private_items[q].match.counts,
                        shared_items[q].match.counts,
-                       "shared vs private pool");
+                       "caller's pool vs process pool");
     }
   }
 }

@@ -30,7 +30,6 @@
 #include "core/verify.h"
 #include "engine/batch_executor.h"
 #include "engine/executor.h"
-#include "engine/sharded_batch_executor.h"
 #include "index/bitmap_index.h"
 #include "service/stage1_cache.h"
 #include "storage/partitioned_store.h"
@@ -318,8 +317,7 @@ TEST(IngestEquivalenceTest, PartitionedAppendPreservesMultisetAndGuarantees) {
   for (int threads : {1, 3}) {
     BoundQuery q = MakeQuery(base, /*index=*/nullptr);
     q.partitions = set;
-    auto executor =
-        ShardedBatchExecutor::Create({q}, set, Options(threads)).value();
+    auto executor = BatchExecutor::Create({q}, Options(threads)).value();
     EXPECT_EQ(executor->pin().generation, 3u);
     std::vector<BatchItem> items = executor->Run();
     ASSERT_TRUE(items[0].status.ok()) << items[0].status.ToString();

@@ -136,7 +136,6 @@ TEST(LifecycleStressTest, RandomizedSubmitCancelAbandonChurn) {
     options.max_batch_queries = 4;
     options.max_queue_wait_seconds = 0.002;
     options.min_join_suffix_fraction = 0.0;
-    options.eager_delivery = true;
     options.idle_pipeline_timeout_seconds = 0.02;
     options.pool = &pool;
     // CI soaks the storm twice: cold (default) and with the stage-1
@@ -455,7 +454,6 @@ TEST(LifecycleStressTest, CacheChurnAcrossStoreLifetimes) {
   options.max_batch_queries = 4;
   options.max_queue_wait_seconds = 0.002;
   options.min_join_suffix_fraction = 0.0;
-  options.eager_delivery = true;
   // Long enough that no pipeline dies between waves of one phase; the
   // phase end polls for the reap explicitly.
   options.idle_pipeline_timeout_seconds = 2.0;

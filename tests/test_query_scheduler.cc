@@ -519,24 +519,6 @@ TEST(QueryLifecycleTest, EagerDeliveryFulfillsBeforeBatchRetire) {
   EXPECT_EQ(scheduler.stats().completed, 2);
 }
 
-TEST(QueryLifecycleTest, RetireTimeDeliveryStillWorks) {
-  // eager_delivery=false restores batch-retire fulfillment: results are
-  // identical, just later; the eager counter stays zero.
-  SchedFixture f = MakeSchedFixture(4000, 26);
-  SchedulerOptions options = FastOptions();
-  options.eager_delivery = false;
-  QueryScheduler scheduler(options);
-  auto a = scheduler.Submit(MakeQuery(f, 1));
-  auto b = scheduler.Submit(MakeQuery(f, 2));
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ExpectTop3(a->Get());
-  ExpectTop3(b->Get());
-  SchedulerStats stats = scheduler.stats();
-  EXPECT_EQ(stats.eager_delivered, 0);
-  EXPECT_EQ(stats.completed, 2);
-}
-
 TEST(QueryLifecycleTest, IdlePipelineIsReapedAndStoreRecovers) {
   // A pipeline idle past the timeout is reaped (driver joined, counter
   // ticks); the same store transparently gets a fresh pipeline on its

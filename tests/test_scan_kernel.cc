@@ -17,7 +17,6 @@
 
 #include "engine/batch_executor.h"
 #include "engine/io_manager.h"
-#include "engine/sharded_batch_executor.h"
 #include "index/density_map.h"
 #include "storage/partitioned_store.h"
 #include "test_helpers.h"
@@ -564,7 +563,7 @@ TEST(DensityPreSkipTest, ShardedRunMatchesUnpartitioned) {
     o.num_threads = 2;
     o.chunk_blocks = 64;
     o.seed = 7;
-    auto executor = ShardedBatchExecutor::Create({q}, set, o).value();
+    auto executor = BatchExecutor::Create({q}, o).value();
     std::vector<BatchItem> items = executor->Run();
     EXPECT_EQ(executor->stats().blocks_read, plain.stats.blocks_read);
     EXPECT_EQ(executor->stats().blocks_skipped, plain.stats.blocks_skipped);

@@ -2,11 +2,9 @@
 // bit-for-bit equivalence property (a P-way run's per-query counts,
 // top-k, and distances equal the P=1 and plain runs, across partition
 // counts x thread counts x seeds), partition I/O conservation, create
-// validation on both factories, mid-flight join equivalence,
-// per-partition stage-1 export, and the per-partition warm-start round
-// trip.
-
-#include "engine/sharded_batch_executor.h"
+// validation for partition-carrying batches, mid-flight join
+// equivalence, per-partition stage-1 export, and the per-partition
+// warm-start round trip.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +14,9 @@
 #include <vector>
 
 #include "core/verify.h"
+#include "engine/batch_executor.h"
 #include "engine/executor.h"
+#include "storage/partitioned_store.h"
 #include "test_helpers.h"
 
 namespace fastmatch {
@@ -112,36 +112,39 @@ TEST(ShardedExecutorTest, CreateValidation) {
   auto partitions = PartitionedStore::Split(f.store, 2).value();
   auto queries = WithPartitions({MakeQuery(f), MakeQuery(f, 43)}, partitions);
 
-  // Null partition set.
-  EXPECT_FALSE(
-      ShardedBatchExecutor::Create(queries, nullptr, Options(2)).ok());
-  // A query without the set (or with a different set) is structural.
+  // A query without the set (or with a different set) is structural,
+  // whichever query comes first: a batch is either one scatter-gather
+  // or one plain scan, never a silent mix.
   {
     auto mixed = queries;
     mixed[1].partitions = nullptr;
-    EXPECT_FALSE(
-        ShardedBatchExecutor::Create(mixed, partitions, Options(2)).ok());
-    mixed[1].partitions = PartitionedStore::Split(f.store, 2).value();
-    EXPECT_FALSE(
-        ShardedBatchExecutor::Create(mixed, partitions, Options(2)).ok());
+    EXPECT_FALSE(BatchExecutor::Create(mixed, Options(2)).ok());
+    std::swap(mixed[0], mixed[1]);
+    EXPECT_FALSE(BatchExecutor::Create(mixed, Options(2)).ok());
+    mixed[0].partitions = PartitionedStore::Split(f.store, 2).value();
+    EXPECT_FALSE(BatchExecutor::Create(mixed, Options(2)).ok());
   }
   // Queries over a store the set was not split from.
   {
     ShardFixture g = MakeShardFixture(2000, 2);
-    auto foreign =
-        WithPartitions({MakeQuery(g)},
-                       PartitionedStore::Split(g.store, 2).value());
-    EXPECT_FALSE(
-        ShardedBatchExecutor::Create(foreign, partitions, Options(2)).ok());
+    auto foreign = WithPartitions({MakeQuery(g)}, partitions);
+    EXPECT_FALSE(BatchExecutor::Create(foreign, Options(2)).ok());
   }
-  // The plain factory refuses partition-carrying queries instead of
-  // silently scanning unsharded.
-  EXPECT_FALSE(BatchExecutor::Create(queries, Options(2)).ok());
-  // Well-formed.
-  auto executor =
-      ShardedBatchExecutor::Create(queries, partitions, Options(2)).value();
-  EXPECT_EQ(executor->partitions().get(), partitions.get());
+  // Well-formed: the batch scans the queries' own set.
+  auto executor = BatchExecutor::Create(queries, Options(2)).value();
   EXPECT_EQ(executor->stats().num_partitions, 2);
+  EXPECT_EQ(executor->pin().store_id, partitions->id());
+  const std::vector<PartitionIoStats> parts = executor->partition_stats();
+  ASSERT_EQ(parts.size(), 2u);
+  for (int p = 0; p < 2; ++p) {
+    EXPECT_EQ(parts[static_cast<size_t>(p)].partition_store_id,
+              partitions->partition(p)->id());
+  }
+  // An unpartitioned batch reports one whole-store slice.
+  auto plain = BatchExecutor::Create({MakeQuery(f)}, Options(2)).value();
+  EXPECT_EQ(plain->stats().num_partitions, 1);
+  ASSERT_EQ(plain->partition_stats().size(), 1u);
+  EXPECT_EQ(plain->partition_stats()[0].partition_store_id, f.store->id());
 }
 
 TEST(ShardedExecutorTest, BitForBitEquivalentToPlainRun) {
@@ -164,9 +167,9 @@ TEST(ShardedExecutorTest, BitForBitEquivalentToPlainRun) {
         const std::string label = "store-seed " + std::to_string(seed) +
                                   " P=" + std::to_string(P) +
                                   " threads=" + std::to_string(threads);
-        auto executor = ShardedBatchExecutor::Create(sharded_batch, partitions,
-                                                     Options(threads, seed))
-                            .value();
+        auto executor =
+            BatchExecutor::Create(sharded_batch, Options(threads, seed))
+                .value();
         std::vector<BatchItem> items = executor->Run();
         ExpectItemsIdentical(items, reference, label);
         EXPECT_EQ(executor->stats().blocks_read, reference_blocks) << label;
@@ -206,9 +209,8 @@ TEST(ShardedExecutorTest, MidflightJoinMatchesPlainJoin) {
     BoundQuery late = MakeQuery(f, 43);
     std::unique_ptr<BatchExecutor> executor;
     if (sharded) {
-      executor = ShardedBatchExecutor::Create(
-                     WithPartitions(initial, partitions), partitions,
-                     Options(2))
+      executor = BatchExecutor::Create(WithPartitions(initial, partitions),
+                                       Options(2))
                      .value();
       late.partitions = partitions;
     } else {
@@ -232,8 +234,8 @@ TEST(ShardedExecutorTest, JoinRequiresMatchingPartitionSet) {
   ShardFixture f = MakeShardFixture(20000, 7);
   auto partitions = PartitionedStore::Split(f.store, 2).value();
   auto executor =
-      ShardedBatchExecutor::Create(WithPartitions({MakeQuery(f)}, partitions),
-                                   partitions, Options(2))
+      BatchExecutor::Create(WithPartitions({MakeQuery(f)}, partitions),
+                            Options(2))
           .value();
   executor->Start();
   executor->Step();
@@ -300,9 +302,9 @@ TEST(ShardedExecutorTest, ExportsOneSnapshotPerPartition) {
   RecordingSink sink;
   BatchOptions options = Options(2);
   options.stage1_sink = &sink;
-  auto executor = ShardedBatchExecutor::Create(
-                      WithPartitions({query}, partitions), partitions, options)
-                      .value();
+  auto executor =
+      BatchExecutor::Create(WithPartitions({query}, partitions), options)
+          .value();
   executor->Run();
   ASSERT_EQ(sink.publications.size(), static_cast<size_t>(P));
   EXPECT_EQ(executor->stats().stage1_exports, P);
@@ -356,8 +358,7 @@ TEST(ShardedExecutorTest, WarmPartsRoundTripMatchesMergedPrior) {
   RecordingSink sink;
   BatchOptions export_options = Options(2);
   export_options.stage1_sink = &sink;
-  ShardedBatchExecutor::Create(WithPartitions({exporter}, partitions),
-                               partitions, export_options)
+  BatchExecutor::Create(WithPartitions({exporter}, partitions), export_options)
       .value()
       ->Run();
   ASSERT_EQ(sink.publications.size(), static_cast<size_t>(P));
@@ -369,9 +370,7 @@ TEST(ShardedExecutorTest, WarmPartsRoundTripMatchesMergedPrior) {
   for (int p = 0; p < P; ++p) {
     warm_sharded.stage1_warm_parts[p] = sink.publications[p].snapshot;
   }
-  auto sharded_exec =
-      ShardedBatchExecutor::Create({warm_sharded}, partitions, Options(2))
-          .value();
+  auto sharded_exec = BatchExecutor::Create({warm_sharded}, Options(2)).value();
   std::vector<BatchItem> sharded_items = sharded_exec->Run();
   EXPECT_EQ(sharded_exec->stats().warm_queries, 1);
 
@@ -411,8 +410,7 @@ TEST(ShardedExecutorTest, WarmPartsValidation) {
     BoundQuery q = MakeQuery(f);
     q.partitions = partitions;
     q.stage1_warm_parts.resize(3);
-    auto executor =
-        ShardedBatchExecutor::Create({q}, partitions, Options(2)).value();
+    auto executor = BatchExecutor::Create({q}, Options(2)).value();
     auto items = executor->Run();
     ASSERT_EQ(items.size(), 1u);
     EXPECT_EQ(items[0].status.code(), StatusCode::kInvalidArgument);
@@ -427,8 +425,7 @@ TEST(ShardedExecutorTest, WarmPartsValidation) {
     snap->rows_drawn = 100;
     q.stage1_warm_parts[0] = snap;
     q.stage1_warm = snap;
-    auto executor =
-        ShardedBatchExecutor::Create({q}, partitions, Options(2)).value();
+    auto executor = BatchExecutor::Create({q}, Options(2)).value();
     auto items = executor->Run();
     ASSERT_EQ(items.size(), 1u);
     EXPECT_EQ(items[0].status.code(), StatusCode::kInvalidArgument);
@@ -439,8 +436,7 @@ TEST(ShardedExecutorTest, WarmPartsValidation) {
     BoundQuery q = MakeQuery(f);
     q.partitions = partitions;
     q.stage1_warm_parts.resize(2);
-    auto executor =
-        ShardedBatchExecutor::Create({q}, partitions, Options(2)).value();
+    auto executor = BatchExecutor::Create({q}, Options(2)).value();
     auto items = executor->Run();
     ASSERT_EQ(items.size(), 1u);
     EXPECT_TRUE(items[0].status.ok()) << items[0].status.ToString();

@@ -7,8 +7,10 @@
 // revalidation-required for an older entry, miss for a newer one),
 // the Promote/EvictDrifted revalidation lifecycle and its
 // compare-and-act generation guards, counter reconciliation
-// (lookups == hits + misses + revalidations always), and a
-// multi-threaded smoke for the internal locking.
+// (lookups == hits + misses + revalidations always), a
+// multi-threaded smoke for the internal locking, and the drift test's
+// row draw (appends that pack candidates into their own blocks, with an
+// unchanged marginal, are not drift).
 
 #include "service/stage1_cache.h"
 
@@ -17,6 +19,10 @@
 #include <memory>
 #include <thread>
 #include <vector>
+
+#include "core/verify.h"
+#include "service/stage1_revalidator.h"
+#include "test_helpers.h"
 
 namespace fastmatch {
 namespace {
@@ -447,6 +453,107 @@ TEST(Stage1CacheTest, CountersReconcileUnderConcurrentChurn) {
   EXPECT_GT(stats.misses, 0);
   EXPECT_GT(stats.revalidations, 0);
   EXPECT_LE(cache.size(), 8);
+}
+
+// A 12-candidate relation with a uniform candidate marginal, 300-row
+// blocks, then one 300-row append per candidate holding that candidate
+// alone: 12 trailing blocks of a single candidate each, while every
+// candidate's share stays exactly 1/12. A prior with the base marginal
+// is therefore still right, and every DRIFTING verdict on it is false.
+TEST(Stage1RevalidatorTest, PackedAppendsAreNotDrift) {
+  constexpr int kCandidates = 12;
+  constexpr int kRowsPerBlock = 300;
+  auto store = testing_util::MakeExactStore(
+      std::vector<int64_t>(kCandidates, 10000),
+      std::vector<Distribution>(kCandidates, UniformDistribution(4)),
+      /*seed=*/5, kRowsPerBlock);
+  auto prior = std::make_shared<Stage1Snapshot>();
+  prior->counts = ComputeExactCounts(*store, 0, {1}).value();
+  prior->rows_drawn = store->num_rows();
+  prior->scan.generation = store->generation();
+  for (int c = 0; c < kCandidates; ++c) {
+    std::vector<std::vector<Value>> batch(2);
+    batch[0].assign(kRowsPerBlock, static_cast<Value>(c));
+    batch[1].assign(kRowsPerBlock, 0);
+    ASSERT_TRUE(store->AppendBatch(batch, 100 + c).ok());
+  }
+  const uint64_t generation = store->generation();
+
+  // A whole-block draw of ~14 of the 412 blocks hits a packed block
+  // about a third of the time and rejects; a uniform row draw rejects
+  // at most delta of the time.
+  RevalidatorOptions options;
+  options.delta = 0.05;
+  constexpr int kSeeds = 200;
+  int drifting = 0;
+  for (int seed = 0; seed < kSeeds; ++seed) {
+    options.seed = static_cast<uint64_t>(seed);
+    Result<RevalidationReport> report =
+        RevalidateStage1(store, 0, {1}, *prior, generation, options);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->fresh_rows, options.sample_rows);
+    drifting += report->verdict == RevalidationVerdict::kDrifting;
+  }
+  // delta * kSeeds = 10 expected at most; 20 is three binomial standard
+  // deviations above it.
+  EXPECT_LE(drifting, 20) << drifting << " of " << kSeeds
+                          << " seeds read packed appends as drift";
+
+  // Not vacuous: a real marginal shift (candidate 0 from 1/12 to about
+  // a quarter of the relation) is caught at every seed.
+  std::vector<std::vector<Value>> shift(2);
+  shift[0].assign(30000, 0);
+  shift[1].assign(30000, 0);
+  ASSERT_TRUE(store->AppendBatch(shift, 7).ok());
+  for (int seed = 0; seed < 10; ++seed) {
+    options.seed = static_cast<uint64_t>(seed);
+    Result<RevalidationReport> report = RevalidateStage1(
+        store, 0, {1}, *prior, store->generation(), options);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->verdict, RevalidationVerdict::kDrifting);
+    EXPECT_EQ(report->worst_candidate, 0);
+  }
+}
+
+TEST(Stage1RevalidatorTest, DrawIsReplayableAndVariesWithGeneration) {
+  auto store = testing_util::MakeExactStore(
+      std::vector<int64_t>(6, 2000),
+      std::vector<Distribution>(6, UniformDistribution(3)), /*seed=*/9, 100);
+  auto prior = std::make_shared<Stage1Snapshot>();
+  prior->counts = ComputeExactCounts(*store, 0, {1}).value();
+  prior->rows_drawn = store->num_rows();
+  RevalidatorOptions options;
+  options.sample_rows = 500;
+  const uint64_t g1 = store->generation();
+  const RevalidationReport a =
+      RevalidateStage1(store, 0, {1}, *prior, g1, options).value();
+  const RevalidationReport b =
+      RevalidateStage1(store, 0, {1}, *prior, g1, options).value();
+  EXPECT_EQ(a.min_p_value, b.min_p_value);
+  EXPECT_EQ(a.worst_candidate, b.worst_candidate);
+  // An append with the same marginal: the next generation's draw is a
+  // different row set (its p-value differs), not the old pattern.
+  std::vector<std::vector<Value>> batch(2);
+  for (int c = 0; c < 6; ++c) {
+    for (int i = 0; i < 100; ++i) {
+      batch[0].push_back(static_cast<Value>(c));
+      batch[1].push_back(static_cast<Value>(i % 3));
+    }
+  }
+  ASSERT_TRUE(store->AppendBatch(batch, 3).ok());
+  const RevalidationReport c =
+      RevalidateStage1(store, 0, {1}, *prior, store->generation(), options)
+          .value();
+  EXPECT_NE(c.min_p_value, a.min_p_value);
+  // More rows than the relation holds: every row is drawn once.
+  options.sample_rows = 1 << 20;
+  const RevalidationReport all =
+      RevalidateStage1(store, 0, {1}, *prior, store->generation(), options)
+          .value();
+  EXPECT_EQ(all.fresh_rows, store->num_rows());
+  // Every row once: the fresh counts are the exact marginal, which the
+  // prior (exact at the previous generation, same marginal) matches.
+  EXPECT_EQ(all.verdict, RevalidationVerdict::kStable);
 }
 
 }  // namespace
